@@ -16,14 +16,14 @@ import configparser
 import math
 import re
 import sys
+from dataclasses import replace
 
-from .coins import (CoinParams, GameConfig, ParseError, calibrate_classical,
-                    max_payoff_phases)
+from .coins import CoinParams, ParseError
 from .engine import (CONVENTION_NAMES, CalibrationError, discover_convention,
                      play)
 from .figures import SWEEP_VARS, SweepSetup, rows_to_csv, sweep_rows, figure_csv
 from .linalg import SizeLimitError
-from .noise import KINDS, NoiseSpec
+from .noise import KINDS
 from .verify import format_report, run_all
 
 _NUMBER = re.compile(
@@ -118,13 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", type=parse_grid, metavar="START:STOP:N")
     p_sweep.add_argument("--out", metavar="FILE",
                          help="write CSV here instead of stdout")
-    p_sweep.add_argument("--jobs", type=int, help="worker threads")
 
     p_fig = subs.add_parser("figure", help="render a preset sweep as CSV")
     p_fig.add_argument("number", type=int, choices=range(1, 10),
                        metavar="N", help="preset number, 1-9")
     p_fig.add_argument("--out", metavar="FILE")
-    p_fig.add_argument("--jobs", type=int)
 
     subs.add_parser("verify", help="run the cross-validation registry")
     return parser
@@ -160,8 +158,6 @@ def _load_config(path: str) -> dict:
             flat["grid"] = parse_grid(sweep["grid"])
         if "out" in sweep:
             flat["out"] = sweep["out"]
-        if "jobs" in sweep:
-            flat["jobs"] = sweep.getint("jobs")
     return flat
 
 
@@ -191,48 +187,44 @@ def _resolve_convention(ns) -> tuple:
     return CONVENTION_NAMES[name], assignment, None
 
 
-def _game_config(ns, assignment: str) -> GameConfig:
-    if getattr(ns, "identity_coins", None):
-        zero = CoinParams(0.0, 0.0, 0.0)
-        return GameConfig(0.0, zero, (zero,) * 4)
-    eps = ns.eps if ns.eps is not None else 0.0
-    gamma = ns.gamma if ns.gamma is not None else 0.0
-    delta = ns.delta if ns.delta is not None else 0.0
-    alphas = tuple(getattr(ns, f"alpha{i}") or 0.0 for i in range(1, 5))
-    if ns.max_phases:
-        betas = list(max_payoff_phases(delta))
-    else:
-        betas = [0.0, 0.0, 0.0, 0.0]
-    for i in range(1, 5):
-        explicit = getattr(ns, f"beta{i}")
-        if explicit is not None:
-            betas[i - 1] = explicit
-    cfg = calibrate_classical(eps, gamma=gamma, delta=delta, alphas=alphas,
-                              betas=tuple(betas), assignment=assignment)
-    coin_a = cfg.coin_a
-    if ns.theta is not None:
-        coin_a = CoinParams(ns.theta, coin_a.gamma, coin_a.delta)
-    coin_b = list(cfg.coin_b)
-    for i in range(1, 5):
-        explicit = getattr(ns, f"phi{i}")
-        if explicit is not None:
-            old = coin_b[i - 1]
-            coin_b[i - 1] = CoinParams(explicit, old.gamma, old.delta)
-    return GameConfig(cfg.epsilon, coin_a, tuple(coin_b))
+def _sweep_setup(ns, var: str, grid: tuple) -> tuple:
+    """The game knobs of ``ns`` as a sweep of ``var`` over ``grid``.
+
+    Returns (setup, convention note or None).
+    """
+    convention, assignment, note = _resolve_convention(ns)
+    start, stop, count = grid
+    setup = SweepSetup(
+        sequence=ns.seq, var=var, start=start, stop=stop, count=count,
+        channels=tuple(ns.channel or ("none",)),
+        p=ns.p or 0.0, eps=ns.eps or 0.0,
+        gamma=ns.gamma or 0.0, delta=ns.delta or 0.0,
+        alphas=tuple(getattr(ns, f"alpha{i}") or 0.0 for i in range(1, 5)),
+        betas=tuple(getattr(ns, f"beta{i}") for i in range(1, 5)),
+        max_phases=bool(ns.max_phases), assignment=assignment,
+        convention=convention)
+    return setup, note
 
 
 def cmd_payoff(ns) -> int:
     if not ns.seq:
         raise UsageError("payoff requires --seq")
-    channels = ns.channel or ["none"]
-    if len(channels) != 1:
+    if ns.channel and len(ns.channel) != 1:
         raise UsageError("payoff takes exactly one --channel")
-    convention, assignment, note = _resolve_convention(ns)
-    cfg = _game_config(ns, assignment)
-    p = ns.p if ns.p is not None else 0.0
-    kind = channels[0]
-    spec = NoiseSpec("none", 0.0) if kind == "none" else NoiseSpec(kind, p)
-    report = play(ns.seq, cfg, spec, convention)
+    p = ns.p or 0.0
+    setup, note = _sweep_setup(ns, "p", (p, p, 1))
+    cfg, spec = setup.point(p, setup.channels[0])
+    if ns.identity_coins:
+        zero = CoinParams(0.0, 0.0, 0.0)
+        cfg = replace(cfg, coin_a=zero, coin_b=(zero,) * 4)
+    else:
+        if ns.theta is not None:
+            cfg = replace(cfg, coin_a=replace(cfg.coin_a, theta=ns.theta))
+        phis = (ns.phi1, ns.phi2, ns.phi3, ns.phi4)
+        cfg = replace(cfg, coin_b=tuple(
+            coin if phi is None else replace(coin, theta=phi)
+            for coin, phi in zip(cfg.coin_b, phis)))
+    report = play(setup.sequence, cfg, spec, setup.convention)
     if note:
         print(note)
     print(f"payoff={report.payoff + 0.0:.12g}")
@@ -259,26 +251,15 @@ def cmd_sweep(ns) -> int:
         raise UsageError("sweep recalibrates the coins at each grid point; "
                          f"--{fixed[0].replace('_', '-')} applies to "
                          "`payoff` only")
-    convention, assignment, note = _resolve_convention(ns)
-    start, stop, count = ns.grid
-    setup = SweepSetup(
-        sequence=ns.seq, var=ns.var, start=start, stop=stop, count=count,
-        channels=tuple(ns.channel or ("none",)),
-        p=ns.p if ns.p is not None else 0.0,
-        eps=ns.eps if ns.eps is not None else 0.0,
-        gamma=ns.gamma or 0.0, delta=ns.delta or 0.0,
-        alphas=tuple(getattr(ns, f"alpha{i}") or 0.0 for i in range(1, 5)),
-        betas=tuple(getattr(ns, f"beta{i}") or 0.0 for i in range(1, 5)),
-        max_phases=bool(ns.max_phases), assignment=assignment,
-        convention=convention)
+    setup, note = _sweep_setup(ns, ns.var, ns.grid)
     if note:
         print(note, file=sys.stderr)
-    _write_csv(rows_to_csv(sweep_rows(setup, ns.jobs)), ns.out)
+    _write_csv(rows_to_csv(sweep_rows(setup)), ns.out)
     return 0
 
 
 def cmd_figure(ns) -> int:
-    _write_csv(figure_csv(ns.number, ns.jobs), ns.out)
+    _write_csv(figure_csv(ns.number), ns.out)
     return 0
 
 

@@ -152,14 +152,17 @@ def parse_sequence(text: str) -> SequencePlan:
             raise ParseError("exponent must be >= 1", start)
         return value
 
-    def parse_seq(depth: int) -> str:
+    def parse_seq(depth: int) -> tuple:
+        """Returns (expanded length, offset of the first B or None, expanded
+        text); the text is None once the length exceeds MAX_QUBITS, so no
+        oversized string is ever built."""
         nonlocal pos
-        out = []
+        length, first_b, parts = 0, None, []
         while pos < len(text):
             ch = text[pos]
             if ch in "AB":
                 pos += 1
-                unit = ch
+                unit = (1, 0 if ch == "B" else None, ch)
             elif ch == "(":
                 open_at = pos
                 pos += 1
@@ -167,7 +170,7 @@ def parse_sequence(text: str) -> SequencePlan:
                 if pos >= len(text) or text[pos] != ")":
                     raise ParseError("unclosed '('", open_at)
                 pos += 1
-                if not unit:
+                if not unit[0]:
                     raise ParseError("empty group", open_at)
             elif ch == ")":
                 if depth == 0:
@@ -175,19 +178,27 @@ def parse_sequence(text: str) -> SequencePlan:
                 break
             else:
                 raise ParseError(f"unexpected character {ch!r}", pos)
+            size, unit_b, unit_text = unit
             if pos < len(text) and text[pos] == "^":
                 pos += 1
-                unit = unit * parse_int()
-            out.append(unit)
-        return "".join(out)
+                times = parse_int()
+                size *= times
+                unit_text = unit_text * times if size <= MAX_QUBITS else None
+            if first_b is None and unit_b is not None:
+                first_b = length + unit_b
+            length += size
+            if length > MAX_QUBITS:
+                parts = None
+            else:
+                parts.append(unit_text)
+        return length, first_b, None if parts is None else "".join(parts)
 
-    flat = parse_seq(0)
-    if not flat:
+    length, first_b, flat = parse_seq(0)
+    if not length:
         raise ParseError("empty sequence", 0)
 
-    first_b = flat.find("B")
-    seeds = 0 if first_b < 0 else max(0, 2 - first_b)
-    total = seeds + len(flat)
+    seeds = 0 if first_b is None else max(0, 2 - first_b)
+    total = seeds + length
     if total > MAX_QUBITS:
         raise SizeLimitError(
             f"sequence needs {total} qubits, limit is {MAX_QUBITS}")

@@ -3,21 +3,21 @@
 A sweep varies one quantity (decoherence strength, a bias offset, or a phase
 angle) over a uniform grid, recalibrating the coins at every point, and
 reports one payoff per (grid value, channel) pair. Rows are ordered
-grid-major, channel-minor. Presets 1-9 pin the parameter choices for the
+grid-major, channel-minor. ``SweepSetup.point`` is the one place that turns
+game knobs into a coin configuration and a noise spec; the CLI's ``payoff``
+is a one-point sweep. Presets 1-9 pin the parameter choices for the
 standard plots; preset 7 evaluates the repeated-sequence closed forms
 instead of simulating.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
-from .coins import calibrate_classical, max_payoff_phases
+from .coins import GameConfig, calibrate_classical, max_payoff_phases
 from .engine import DEFAULT_CONVENTION, PayoffConvention, play
 from .noise import KINDS, NoiseSpec
 
@@ -28,7 +28,11 @@ _PI = math.pi
 
 @dataclass(frozen=True)
 class SweepSetup:
-    """One sweep: the varied quantity, its grid, and the fixed game knobs."""
+    """One sweep: the varied quantity, its grid, and the fixed game knobs.
+
+    A beta left as None is derived: from delta under ``max_phases``, else 0.
+    An explicit or swept beta always wins.
+    """
     sequence: str
     var: str
     start: float
@@ -40,8 +44,8 @@ class SweepSetup:
     gamma: float = 0.0
     delta: float = 0.0
     alphas: tuple = (0.0, 0.0, 0.0, 0.0)
-    betas: tuple = (0.0, 0.0, 0.0, 0.0)
-    max_phases: bool = False       # re-derive betas from delta at each point
+    betas: tuple = (None, None, None, None)
+    max_phases: bool = False       # re-derive unset betas from delta
     assignment: str = "printed"
     convention: PayoffConvention = DEFAULT_CONVENTION
 
@@ -56,48 +60,36 @@ class SweepSetup:
         if not self.channels:
             raise ValueError("need at least one channel")
 
-
-def _resolve_jobs(jobs: int | None) -> int | None:
-    """Explicit argument beats the PARRONDOQ_JOBS variable beats the pool
-    default."""
-    if jobs is None:
-        env = os.environ.get("PARRONDOQ_JOBS", "").strip()
-        if env:
-            jobs = int(env)
-    if jobs is not None and jobs < 1:
-        raise ValueError("jobs must be a positive integer")
-    return jobs
-
-
-def _point_payoff(setup: SweepSetup, value: float, channel: str) -> float:
-    p, eps, delta = setup.p, setup.eps, setup.delta
-    betas = list(setup.betas)
-    if setup.var == "p":
-        p = value
-    elif setup.var == "eps":
-        eps = value
-    elif setup.var == "delta":
-        delta = value
-    else:
-        betas[int(setup.var[-1]) - 1] = value
-    if setup.max_phases:
-        betas = max_payoff_phases(delta)
-    cfg = calibrate_classical(eps, gamma=setup.gamma, delta=delta,
-                              alphas=setup.alphas, betas=tuple(betas),
-                              assignment=setup.assignment)
-    spec = NoiseSpec("none", 0.0) if channel == "none" else NoiseSpec(channel, p)
-    return play(setup.sequence, cfg, spec, setup.convention).payoff
+    def point(self, value: float, channel: str) -> tuple[GameConfig, NoiseSpec]:
+        """Coin configuration and noise spec with ``var`` set to ``value``;
+        the ``none`` channel ignores p."""
+        knobs = {"p": self.p, "eps": self.eps, "delta": self.delta}
+        betas = list(self.betas)
+        if self.var.startswith("beta"):
+            betas[int(self.var[-1]) - 1] = value
+        else:
+            knobs[self.var] = value
+        derived = (max_payoff_phases(knobs["delta"]) if self.max_phases
+                   else (0.0, 0.0, 0.0, 0.0))
+        cfg = calibrate_classical(
+            knobs["eps"], gamma=self.gamma, delta=knobs["delta"],
+            alphas=self.alphas,
+            betas=tuple(d if b is None else b for b, d in zip(betas, derived)),
+            assignment=self.assignment)
+        spec = (NoiseSpec("none", 0.0) if channel == "none"
+                else NoiseSpec(channel, knobs["p"]))
+        return cfg, spec
 
 
-def sweep_rows(setup: SweepSetup, jobs: int | None = None) -> list:
+def sweep_rows(setup: SweepSetup) -> list:
     """Evaluate a sweep; returns (var, value, channel, payoff) tuples."""
-    grid = np.linspace(setup.start, setup.stop, setup.count)
-    tasks = [(float(v), ch) for v in grid for ch in setup.channels]
-    with ThreadPoolExecutor(max_workers=_resolve_jobs(jobs)) as pool:
-        payoffs = list(pool.map(
-            lambda t: _point_payoff(setup, t[0], t[1]), tasks))
-    return [(setup.var, value, channel, payoff)
-            for (value, channel), payoff in zip(tasks, payoffs)]
+    rows = []
+    for value in np.linspace(setup.start, setup.stop, setup.count):
+        for channel in setup.channels:
+            cfg, spec = setup.point(float(value), channel)
+            payoff = play(setup.sequence, cfg, spec, setup.convention).payoff
+            rows.append((setup.var, float(value), channel, payoff))
+    return rows
 
 
 def _csv_num(x: float) -> str:
@@ -153,7 +145,7 @@ _SERIES_PRESET = (("ad", 1 / 168, "ad:eps=1/168"),
                   ("dp", 1 / 112, "dp:eps=1/112"))
 
 
-def figure_rows(number: int, jobs: int | None = None) -> list:
+def figure_rows(number: int) -> list:
     if number == 7:
         grid = np.linspace(0.0, 1.0, GRID_POINTS)
         return [("p", float(v), label, oracle.series_aab(kind, float(v), eps))
@@ -162,9 +154,9 @@ def figure_rows(number: int, jobs: int | None = None) -> list:
         setup = FIGURES[number]
     except KeyError:
         raise ValueError("figure number must be 1..9") from None
-    return sweep_rows(setup, jobs)
+    return sweep_rows(setup)
 
 
-def figure_csv(number: int, jobs: int | None = None) -> str:
+def figure_csv(number: int) -> str:
     """CSV text for one preset; deterministic for a given number."""
-    return rows_to_csv(figure_rows(number, jobs))
+    return rows_to_csv(figure_rows(number))

@@ -2,7 +2,7 @@
 
 Everything in this package works on plain ``numpy.ndarray`` matrices of dtype
 complex128. This module adds the guard rails: a register-size cap, shape
-checks, and the sanity predicates used by tests and the verification suite.
+checks, and the residual norm used by the verification suite.
 """
 from __future__ import annotations
 
@@ -44,12 +44,6 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def embed(op: np.ndarray, first_qubit: int, n_qubits: int) -> np.ndarray:
     """Lift ``op`` to an ``n_qubits`` register, acting on a contiguous block
     starting at ``first_qubit`` (qubit 0 = most significant)."""
@@ -63,16 +57,3 @@ def embed(op: np.ndarray, first_qubit: int, n_qubits: int) -> np.ndarray:
 def max_abs(m: np.ndarray) -> float:
     """Largest entrywise magnitude; the norm used for residual checks."""
     return float(np.max(np.abs(m))) if m.size else 0.0
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return max_abs(dagger(m) @ m - identity(m.shape[0])) <= tol
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return max_abs(m - dagger(m)) <= tol
-
-
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (positivity checks)."""
-    return float(np.linalg.eigvalsh(m)[0])

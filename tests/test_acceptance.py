@@ -246,8 +246,8 @@ def test_enumerated_channel_path_is_capped():
 
 def test_all_figure_presets_render_deterministic_csv():
     for number in range(1, 10):
-        first = figure_csv(number, jobs=2)
-        second = figure_csv(number, jobs=1)
+        first = figure_csv(number)
+        second = figure_csv(number)
         assert first == second, number
         assert first.splitlines()[0] == "sweep_var,value,channel,payoff"
 

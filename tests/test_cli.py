@@ -139,6 +139,36 @@ def test_sweep_csv_stdout(capsys):
     assert lines[3].startswith("p,0.5,ad,")
 
 
+def sweep_payoffs(capsys):
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "sweep_var,value,channel,payoff"
+    return [line.split(",")[3] for line in lines[1:]]
+
+
+def test_sweep_beta_with_max_phases_varies(capsys):
+    rc = cli.main(["sweep", "--seq", "AAB", "--eps", "1/168",
+                   "--delta", "pi/5", "--max-phases", "--channel", "pd",
+                   "--p", "0.5", "--var", "beta1", "--grid", "0:pi:3"])
+    assert rc == 0
+    assert len(set(sweep_payoffs(capsys))) == 3
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seq", "AAB", "--eps", "1/168", "--delta", "pi/5", "--max-phases",
+     "--beta1", "pi/2", "--channel", "pd", "--p", "0.5"],
+    ["--seq", "AAB", "--eps", "1/168", "--delta", "pi/5", "--beta1", "pi/2",
+     "--beta3", "pi/4", "--alpha2", "pi/3", "--gamma", "0.3",
+     "--channel", "dp", "--p", "0.25"],
+])
+def test_payoff_equals_one_point_sweep(flags, capsys):
+    assert cli.main(["payoff"] + flags) == 0
+    payoff = capsys.readouterr().out.strip().split("=")[1]
+    p = flags[flags.index("--p") + 1]
+    assert cli.main(["sweep"] + flags + ["--var", "p",
+                                         "--grid", f"{p}:{p}:1"]) == 0
+    assert sweep_payoffs(capsys) == [payoff]
+
+
 def test_sweep_out_file(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = cli.main(["sweep", "--seq", "B", "--var", "p", "--grid", "0:1:2",
@@ -156,9 +186,14 @@ def test_sweep_out_file(tmp_path, capsys):
 def test_figure_to_file_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    assert cli.main(["figure", "3", "--out", str(a), "--jobs", "2"]) == 0
-    assert cli.main(["figure", "3", "--out", str(b), "--jobs", "1"]) == 0
+    assert cli.main(["figure", "3", "--out", str(a)]) == 0
+    assert cli.main(["figure", "3", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_figure_has_no_jobs_flag(capsys):
+    assert cli.main(["figure", "1", "--jobs", "2"]) == 2
+    capsys.readouterr()
 
 
 def test_figure_rejects_bad_number(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,27 @@ def test_parse_register_size_limit():
         parse_sequence("A^12")
     with pytest.raises(SizeLimitError):
         parse_sequence("B^10")       # 10 games + 2 seeds
+
+
+def test_parse_counts_oversized_sequences_without_expanding():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError,
+                           match="sequence needs 1000000 qubits, limit is 11"):
+            parse_sequence("((A^100)^100)^100")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # seeds still count once the expansion is too long to build
+    with pytest.raises(SizeLimitError, match="needs 14 qubits"):
+        parse_sequence("(B^3)^4")
+
+
+def test_parse_error_beats_size_limit():
+    with pytest.raises(ParseError) as err:
+        parse_sequence("(A^100)^100X")
+    assert err.value.offset == 11
 
 
 # --- compiled unitaries ---------------------------------------------------

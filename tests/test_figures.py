@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from parrondoq.coins import calibrate_classical, max_payoff_phases
 from parrondoq.engine import PayoffConvention
 from parrondoq.figures import (CSV_HEADER, FIGURES, GRID_POINTS, SweepSetup,
                                figure_csv, figure_rows, rows_to_csv,
@@ -53,17 +54,17 @@ def test_sweep_beta_var_overrides_slot():
     assert rows[0][3] != rows[1][3]
 
 
-def test_sweep_jobs_do_not_change_result():
-    setup = small_setup()
-    assert sweep_rows(setup, jobs=1) == sweep_rows(setup, jobs=4)
-
-
-def test_jobs_env_override(monkeypatch):
-    monkeypatch.setenv("PARRONDOQ_JOBS", "2")
-    assert sweep_rows(small_setup()) == sweep_rows(small_setup(), jobs=1)
-    monkeypatch.setenv("PARRONDOQ_JOBS", "0")
-    with pytest.raises(ValueError):
-        sweep_rows(small_setup())
+def test_sweep_point_beta_precedence():
+    # explicit beats max_phases beats 0
+    setup = small_setup(var="p", delta=0.7, max_phases=True,
+                        betas=(1.0, None, None, None))
+    cfg, _ = setup.point(0.0, "none")
+    want = calibrate_classical(1 / 168, delta=0.7,
+                               betas=(1.0,) + max_payoff_phases(0.7)[1:])
+    assert cfg == want
+    unset = small_setup(betas=(None, 2.0, None, None))
+    cfg, _ = unset.point(0.0, "none")
+    assert [c.delta for c in cfg.coin_b] == [0.0, 2.0, 0.0, 0.0]
 
 
 def test_rows_to_csv_format():

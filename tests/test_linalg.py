@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from parrondoq.linalg import (MAX_DIM, SizeLimitError, dagger, embed,
-                              identity, is_hermitian, is_unitary, kron,
-                              matmul, max_abs, min_eigenvalue)
+                              identity, kron, max_abs)
 
 
 def test_identity_dtype_and_values():
@@ -55,11 +54,6 @@ def test_kron_rejects_no_operands():
         kron()
 
 
-def test_matmul_shape_check():
-    with pytest.raises(ValueError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 def test_embed_places_block():
     x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     assert np.array_equal(embed(x, 0, 2), kron(x, identity(2)))
@@ -79,17 +73,3 @@ def test_embed_rejects_out_of_range():
 def test_max_abs_and_empty():
     assert max_abs(np.array([[3, -4j]])) == 4.0
     assert max_abs(np.zeros((0, 0))) == 0.0
-
-
-def test_unitary_and_hermitian_predicates():
-    h = np.array([[2.0, 1 - 1j], [1 + 1j, 0.0]])
-    assert is_hermitian(h)
-    assert not is_unitary(h)
-    phase = np.diag([1.0, np.exp(0.7j)])
-    assert is_unitary(phase)
-    assert not is_hermitian(phase)
-
-
-def test_min_eigenvalue_orders():
-    h = np.diag([3.0, -2.0, 0.5]).astype(np.complex128)
-    assert min_eigenvalue(h) == pytest.approx(-2.0)
