@@ -238,6 +238,15 @@ def test_nine_qubit_pipeline_under_budget():
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_eleven_qubit_play_under_a_second():
+    """B^9 fills the 11-qubit register; the window sweep's cost grows with
+    the number of games, not with the 2048-dimensional state."""
+    cfg = fig1_config()
+    t0 = time.perf_counter()
+    play("B^9", cfg, NoiseSpec("dp", 0.5))
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_enumerated_channel_path_is_capped():
     assert MAX_ENUMERATED_QUBITS == 4
     with pytest.raises(SizeLimitError):

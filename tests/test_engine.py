@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from parrondoq.coins import calibrate_classical, max_payoff_phases, parse_sequence
+from parrondoq.coins import (CoinParams, GameConfig, build_unitary,
+                             calibrate_classical, max_payoff_phases,
+                             parse_sequence)
 from parrondoq.engine import (CONVENTION_NAMES, CalibrationError,
                               PayoffConvention, PayoffReport,
                               calibrate_convention, discover_convention,
                               evolve, make_initial_state, payoff_report, play)
 from parrondoq.linalg import SizeLimitError, max_abs
-from parrondoq.noise import NoiseSpec
+from parrondoq.noise import KINDS, NoiseSpec, apply_channel
 
 PI = math.pi
 PER_QUBIT = PayoffConvention("all", "per_qubit")
@@ -115,11 +117,15 @@ def test_payoff_convention_validation():
 
 
 def test_payoff_report_is_plain_data():
-    rep = play("AAB", fig1_config(), NoiseSpec("none", 0.0))
+    cfg, noise = fig1_config(), NoiseSpec("dp", 0.3)
+    rep = play("AAB", cfg, noise)
     assert isinstance(rep, PayoffReport)
     assert isinstance(rep.per_qubit, tuple)
-    assert len(rep.diagonal) == 8
-    assert sum(rep.diagonal) == pytest.approx(1.0)
+    assert len(rep.per_qubit) == 3
+    assert all(-1.0 <= v <= 1.0 for v in rep.per_qubit)
+    rho = evolve(apply_channel(make_initial_state(3), noise),
+                 build_unitary(parse_sequence("AAB"), cfg))
+    assert np.trace(rho).real == pytest.approx(1.0)
 
 
 # --- full pipeline against frozen references -------------------------------
@@ -184,6 +190,60 @@ def test_play_unknown_channel_at_p0_all_agree():
     base = play("AAB", cfg, NoiseSpec("none", 0.0)).payoff
     for kind in ("ad", "dp", "pd"):
         assert play("AAB", cfg, NoiseSpec(kind, 0.0)).payoff == base
+
+
+# --- window sweep against the dense reference ------------------------------
+
+def dense_reports(sequence, cfg, noise):
+    """Every convention's report from the dense stages: GHZ matrix, channel,
+    compiled unitary, diagonal."""
+    plan = parse_sequence(sequence)
+    rho = apply_channel(make_initial_state(plan.total_qubits), noise)
+    rho = evolve(rho, build_unitary(plan, cfg))
+    return {name: payoff_report(rho, plan, conv)
+            for name, conv in CONVENTION_NAMES.items()}
+
+
+def random_coin(rng):
+    return CoinParams(float(rng.uniform(-PI, PI)),
+                      float(rng.uniform(0.0, 2 * PI)),
+                      float(rng.uniform(0.0, 2 * PI)))
+
+
+def random_cases(seed, count, max_qubits=9):
+    """(sequence, config, noise) triples: random A/B strings of at most
+    ``max_qubits`` qubits, seeds included, random coins, channel and p."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        games = int(rng.integers(1, max_qubits + 1))
+        sequence = "".join(rng.choice(("A", "B"), size=games))
+        if parse_sequence(sequence).total_qubits > max_qubits:
+            continue
+        cfg = GameConfig(0.0, random_coin(rng),
+                         tuple(random_coin(rng) for _ in range(4)))
+        noise = NoiseSpec(str(rng.choice(KINDS)), float(rng.uniform()))
+        cases.append((sequence, cfg, noise))
+    return cases
+
+
+def test_window_sweep_matches_dense_pipeline():
+    cases = random_cases(20261018, 40)
+    plans = [parse_sequence(seq) for seq, _, _ in cases]
+    assert {plan.seed_count for plan in plans} == {0, 1, 2}
+    assert max(plan.total_qubits for plan in plans) == 9
+    assert {noise.kind for _, _, noise in cases} == set(KINDS)
+    for sequence, cfg, noise in cases:
+        dense = dense_reports(sequence, cfg, noise)
+        for name, conv in CONVENTION_NAMES.items():
+            rep = play(sequence, cfg, noise, conv)
+            want = dense[name]
+            where = f"{sequence} {noise} {name}"
+            assert abs(rep.payoff - want.payoff) <= 1e-12, where
+            assert len(rep.per_qubit) == len(want.per_qubit), where
+            for got, ref in zip(rep.per_qubit, want.per_qubit):
+                assert abs(got - ref) <= 1e-12, where
+                assert -1.0 <= got <= 1.0, where
 
 
 # --- convention search -----------------------------------------------------

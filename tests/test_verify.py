@@ -50,6 +50,14 @@ def test_classified_checks_carry_detail(results):
             assert r.detail, r.check_id
 
 
+def test_fig2_symmetry_pairs_every_grid_point(results):
+    """Each of preset 2's 51 delta points meets its mirror pi - delta,
+    wrapped into [0, 2pi); the residual is the worst pair's gap."""
+    result = next(r for r in results if r.check_id == "fig2_symmetry")
+    assert "51 of 51 points paired" in result.detail
+    assert result.residual == pytest.approx(1.8225e-2, abs=1e-6)
+
+
 def test_result_flags():
     ok = verify.CheckResult("x", "pass", 0.0, 1e-9, "")
     bad = verify.CheckResult("x", "FAIL", 1.0, 1e-9, "")
