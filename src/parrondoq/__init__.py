@@ -14,7 +14,7 @@ from .coins import (CoinParams, GameConfig, GameStep, ParseError,
 from .engine import (CONVENTION_NAMES, DEFAULT_CONVENTION, CalibrationError,
                      ConventionFinding, PayoffConvention, PayoffReport,
                      calibrate_convention, discover_convention, evolve,
-                     make_initial_state, payoff_report, play)
+                     make_initial_state, payoff_report, play, play_many)
 from .figures import (FIGURES, SweepSetup, figure_csv, figure_rows,
                       rows_to_csv, sweep_rows)
 from .linalg import MAX_DIM, SizeLimitError
@@ -31,7 +31,7 @@ __all__ = [
     "CONVENTION_NAMES", "DEFAULT_CONVENTION", "CalibrationError",
     "ConventionFinding", "PayoffConvention", "PayoffReport",
     "calibrate_convention", "discover_convention", "evolve",
-    "make_initial_state", "payoff_report", "play",
+    "make_initial_state", "payoff_report", "play", "play_many",
     "FIGURES", "SweepSetup", "figure_csv", "figure_rows", "rows_to_csv",
     "sweep_rows",
     "MAX_DIM", "SizeLimitError",

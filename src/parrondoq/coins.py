@@ -69,25 +69,41 @@ class SequencePlan:
     total_qubits: int
 
 
+def coin_matrices(theta, gamma, delta) -> np.ndarray:
+    """SU(2) coins for array (or scalar) angles, shape ``(..., 2, 2)``:
+    rows/cols ordered |0>, |1>, winning amplitude sin(theta)."""
+    th, g, d = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                   np.asarray(gamma, dtype=float),
+                                   np.asarray(delta, dtype=float))
+    cos, sin = np.cos(th), np.sin(th)
+    coins = np.empty(th.shape + (2, 2), dtype=np.complex128)
+    coins[..., 0, 0] = np.exp(-1j * (g + d) / 2) * cos
+    coins[..., 0, 1] = -np.exp(-1j * (g - d) / 2) * sin
+    coins[..., 1, 0] = np.exp(1j * (g - d) / 2) * sin
+    coins[..., 1, 1] = np.exp(1j * (g + d) / 2) * cos
+    return coins
+
+
+def block_coins(subs: np.ndarray) -> np.ndarray:
+    """B coins ``(..., 8, 8)`` from sub-coin stacks ``(..., 4, 2, 2)``:
+    block diagonal, history bits 00,01,10,11 select sub-coin 1..4."""
+    b = np.zeros(subs.shape[:-3] + (8, 8), dtype=np.complex128)
+    for i in range(4):
+        b[..., 2 * i:2 * i + 2, 2 * i:2 * i + 2] = subs[..., i, :, :]
+    return b
+
+
 def make_coin_a(params: CoinParams) -> np.ndarray:
-    """2x2 coin: rows/cols ordered |0>, |1>, winning amplitude sin(theta)."""
-    th, g, d = params.theta, params.gamma, params.delta
-    return np.array([
-        [np.exp(-1j * (g + d) / 2) * math.cos(th),
-         -np.exp(-1j * (g - d) / 2) * math.sin(th)],
-        [np.exp(1j * (g - d) / 2) * math.sin(th),
-         np.exp(1j * (g + d) / 2) * math.cos(th)],
-    ], dtype=np.complex128)
+    """2x2 coin: the one-coin case of ``coin_matrices``."""
+    return coin_matrices(params.theta, params.gamma, params.delta)
 
 
 def make_coin_b(params: tuple[CoinParams, ...]) -> np.ndarray:
     """8x8 block diagonal: history bits 00,01,10,11 select sub-coin 1..4."""
     if len(params) != 4:
         raise ValueError("game B takes exactly four sub-coins")
-    b = np.zeros((8, 8), dtype=np.complex128)
-    for i, sub in enumerate(params):
-        b[2 * i:2 * i + 2, 2 * i:2 * i + 2] = make_coin_a(sub)
-    return b
+    angles = np.array([(s.theta, s.gamma, s.delta) for s in params])
+    return block_coins(coin_matrices(*angles.T))
 
 
 def calibrate_classical(

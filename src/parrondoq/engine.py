@@ -5,8 +5,12 @@ any game is played. A basis state's score is the sum of +1 per |1> (win) and
 -1 per |0> (loss) over the counted qubits, so the payoff is a sum of per-qubit
 +-1 expectations under a configurable counting convention.
 
-``play`` reads those expectations from a left-to-right window sweep whose
-cost grows linearly with the number of games (``_window_expectations``).
+``play_many`` reads those expectations for many (coin configuration, noise)
+points of one sequence at once, from a left-to-right window sweep whose
+cost grows linearly with the number of games and which carries every point
+on a leading batch axis (``_window_expectations``). ``play`` is its
+one-point case, and the figure sweeps and convention searches call it in
+batches.
 The dense stages (``make_initial_state``, ``noise.apply_channel``,
 ``coins.build_unitary``, ``evolve``, ``payoff_report``) build the full
 2^n x 2^n density matrix; they are the reference the sweep is tested
@@ -19,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .coins import (GameConfig, SequencePlan, calibrate_classical,
-                    make_coin_a, make_coin_b, max_payoff_phases,
-                    parse_sequence)
+from .coins import (GameConfig, SequencePlan, block_coins, calibrate_classical,
+                    coin_matrices, max_payoff_phases, parse_sequence)
 from .linalg import MAX_DIM, SizeLimitError
 from .noise import NoiseSpec, kraus_single
 
@@ -143,60 +146,91 @@ def payoff_report(rho: np.ndarray, plan: SequencePlan,
 _SCORE = np.array([-1.0, 1.0])
 
 
-def _window_expectations(plan: SequencePlan, cfg: GameConfig,
-                         noise: NoiseSpec) -> tuple[float, ...]:
-    """Per-qubit +-1 expectations of ``plan`` played on the noised GHZ state.
+def _corners(noise: NoiseSpec) -> np.ndarray:
+    """E(|x><y|) = sum_k E_k |x><y| E_k^dag, stacked at index 2x + y."""
+    ops = np.array(kraus_single(noise))
+    return np.einsum("kix,kjy->xyij", ops, ops.conj()).reshape(4, 2, 2)
+
+
+def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
+                         coin_b: np.ndarray,
+                         corners: np.ndarray) -> np.ndarray:
+    """Per-qubit +-1 expectations, shape (G, n), of ``plan`` played at G
+    points: A coins ``(G, 2, 2)``, B coins ``(G, 8, 8)`` and noise corners
+    ``(G, 4, 2, 2)`` (see ``_corners``).
 
     The noised state is 1/2 sum_{x,y} (x)_q E(|x><y|): four product
     operators, one per corner (x, y). The sweep adds qubits left to right,
-    carrying one operator per corner on a window of at most three qubits.
-    Each step krons in the new qubit's E(|x><y|) and plays the game that
-    writes that qubit. A game touches only its target and the two qubits
-    before it, so once the window holds three qubits its oldest is never
-    touched again: its expectation is read out and it is traced out. This
-    is an exact bond-dimension-2 contraction (Vidal, PRL 91, 147902 (2003));
-    the cost is linear in the register size.
+    carrying one operator per corner and point on a window of at most three
+    qubits. Each step krons in the new qubit's E(|x><y|) and plays the game
+    that writes that qubit, as gate @ window @ gate^H with gate = I (x) coin.
+    A game touches only its target and the two qubits before it, so once
+    the window holds three qubits its oldest is never touched again: its
+    expectation is read out and it is traced out. This is an exact
+    bond-dimension-2 contraction (Vidal, PRL 91, 147902 (2003)); the cost is
+    linear in the register size, and every step acts on all G points at
+    once.
     """
-    ops = np.array(kraus_single(noise))
-    # corners[2x + y] = E(|x><y|) = sum_k E_k |x><y| E_k^dag
-    corners = np.einsum("kix,kjy->xyij", ops, ops.conj()).reshape(4, 2, 2)
-    coins = {"A": make_coin_a(cfg.coin_a), "B": make_coin_b(cfg.coin_b)}
+    coins = {"A": coin_a, "B": coin_b}
     kind_at = {step.target: step.kind for step in plan.games}
-    n = plan.total_qubits
-    window = np.full((4, 1, 1), 0.5, dtype=np.complex128)
+    n, count = plan.total_qubits, len(corners)
+    window = np.full((count, 4, 1, 1), 0.5, dtype=np.complex128)
     per_qubit = []
 
     def read_out_oldest(window: np.ndarray, last: bool) -> np.ndarray:
-        d = window.shape[1] // 2
-        w = window.reshape(4, 2, d, 2, d)
+        d = window.shape[-1] // 2
+        w = window.reshape(count, 4, 2, d, 2, d)
         # Tr E(|0><1|) = 0: the x != y corners vanish while a qubit is
         # still to be added, so they count only once the register is full.
-        terms = w if last else w[::3]
-        per_qubit.append(float(np.einsum("tiaia,i->", terms, _SCORE).real))
-        return np.einsum("tiaib->tab", w)
+        terms = w if last else w[:, ::3]
+        per_qubit.append(np.einsum("gtiaia,i->g", terms, _SCORE).real)
+        return np.einsum("gtiaib->gtab", w)
 
     for q in range(n):
-        d = window.shape[1]
-        window = (window[:, :, None, :, None] * corners[:, None, :, None, :]
-                  ).reshape(4, 2 * d, 2 * d)
+        d = window.shape[-1]
+        window = (window[:, :, :, None, :, None]
+                  * corners[:, :, None, :, None, :]
+                  ).reshape(count, 4, 2 * d, 2 * d)
         if q in kind_at:
             coin = coins[kind_at[q]]
-            gate = np.kron(np.eye(2 * d // coin.shape[0]), coin)
-            window = gate @ window @ gate.conj().T
-        if window.shape[1] == 8:
+            m = 2 * d // coin.shape[-1]
+            gate = (np.eye(m)[:, None, :, None] * coin[:, None, :, None, :]
+                    ).reshape(count, 1, 2 * d, 2 * d)
+            window = gate @ window      # two steps: two stacks alive, not three
+            window = window @ gate.conj().swapaxes(-1, -2)
+        if d == 4:
             window = read_out_oldest(window, q == n - 1)
-    while window.shape[1] > 1:
+    while window.shape[-1] > 1:
         window = read_out_oldest(window, True)
-    return tuple(per_qubit)
+    return np.stack(per_qubit, axis=1)
+
+
+def play_many(sequence: str, points,
+              convention: PayoffConvention = DEFAULT_CONVENTION
+              ) -> list[PayoffReport]:
+    """Payoffs of one sequence string at many ``(GameConfig, NoiseSpec)``
+    points, in order, from one batched window sweep."""
+    plan = parse_sequence(sequence)
+    if not points:
+        return []
+    angles = np.array([[(c.theta, c.gamma, c.delta)
+                        for c in (cfg.coin_a, *cfg.coin_b)]
+                       for cfg, _ in points])
+    coins = coin_matrices(*np.moveaxis(angles, -1, 0))
+    corner_of = {noise: _corners(noise)
+                 for noise in {noise for _, noise in points}}
+    corners = np.array([corner_of[noise] for _, noise in points])
+    expectations = _window_expectations(plan, coins[:, 0],
+                                        block_coins(coins[:, 1:]), corners)
+    return [PayoffReport(_score(row, plan, convention), tuple(row))
+            for row in expectations.tolist()]
 
 
 def play(sequence: str, cfg: GameConfig, noise: NoiseSpec,
          convention: PayoffConvention = DEFAULT_CONVENTION) -> PayoffReport:
-    """Payoff of a sequence string such as "AAB" or "B^3", by the window
-    sweep."""
-    plan = parse_sequence(sequence)
-    per_qubit = _window_expectations(plan, cfg, noise)
-    return PayoffReport(_score(per_qubit, plan, convention), per_qubit)
+    """Payoff of a sequence string such as "AAB" or "B^3": the one-point
+    case of ``play_many``."""
+    return play_many(sequence, [(cfg, noise)], convention)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +249,26 @@ def _chain_residuals(assignments, masks, normalizations) -> dict:
     cells = [(a, m, nn) for a in assignments for m in masks
              for nn in normalizations]
     table = {cell: {} for cell in cells}
+    points = [(p, ch) for p in _CAL_PS for ch in _CAL_CHANNELS]
     for assignment in assignments:
         for eps in _CAL_EPS:
             cfg = calibrate_classical(eps, betas=max_payoff_phases(0.0),
                                       assignment=assignment)
             for seq, n_games in _CAL_SEQS:
                 plan = parse_sequence(seq)
-                for p in _CAL_PS:
-                    for ch in _CAL_CHANNELS:
-                        per_qubit = _window_expectations(
-                            plan, cfg, NoiseSpec(ch, p))
-                        ref = oracle.chain_b(n_games, ch, p, eps)
-                        row = f"{seq}:{ch}"
-                        for mask in masks:
-                            for norm in normalizations:
-                                r = abs(_score(per_qubit, plan,
-                                               PayoffConvention(mask, norm))
-                                        - ref)
-                                cell = (assignment, mask, norm)
-                                if r > table[cell].get(row, 0.0):
-                                    table[cell][row] = r
+                reports = play_many(seq, [(cfg, NoiseSpec(ch, p))
+                                          for p, ch in points])
+                for (p, ch), report in zip(points, reports):
+                    ref = oracle.chain_b(n_games, ch, p, eps)
+                    row = f"{seq}:{ch}"
+                    for mask in masks:
+                        for norm in normalizations:
+                            r = abs(_score(report.per_qubit, plan,
+                                           PayoffConvention(mask, norm))
+                                    - ref)
+                            cell = (assignment, mask, norm)
+                            if r > table[cell].get(row, 0.0):
+                                table[cell][row] = r
     return table
 
 

@@ -494,7 +494,7 @@ def check_performance() -> CheckResult:
     start = time.perf_counter()
     play("(AAB)^3", cfg, NoiseSpec("dp", 0.3))
     elapsed = time.perf_counter() - start
-    return _result("performance_9q_pipeline", elapsed, 5.0,
+    return _result("performance_9q_pipeline", elapsed, 0.25,
                    f"{elapsed * 1e3:.2f} ms for the nine-qubit window sweep")
 
 

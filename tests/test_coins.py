@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from parrondoq.coins import (CoinParams, ParseError, build_unitary,
-                             calibrate_classical, make_coin_a, make_coin_b,
+                             block_coins, calibrate_classical, coin_matrices,
+                             make_coin_a, make_coin_b,
                              max_payoff_phases, parse_sequence)
 from parrondoq.linalg import SizeLimitError, identity, kron, max_abs
 
@@ -60,6 +61,24 @@ def test_coin_b_block_diagonal_layout():
     for i in range(4):
         off[2 * i:2 * i + 2, 2 * i:2 * i + 2] = 0
     assert max_abs(off) == 0
+
+
+def test_coin_stacks_equal_one_coin_builds():
+    rng = np.random.default_rng(3)
+    subs = [[CoinParams(float(rng.uniform(-PI, PI)),
+                        float(rng.uniform(0, 2 * PI)),
+                        float(rng.uniform(0, 2 * PI))) for _ in range(4)]
+            for _ in range(5)]
+    angles = np.array([[(c.theta, c.gamma, c.delta) for c in row]
+                       for row in subs])
+    stack = coin_matrices(angles[..., 0], angles[..., 1], angles[..., 2])
+    assert stack.shape == (5, 4, 2, 2)
+    blocks = block_coins(stack)
+    assert blocks.shape == (5, 8, 8)
+    for g, row in enumerate(subs):
+        for i, coin in enumerate(row):
+            assert np.array_equal(stack[g, i], make_coin_a(coin))
+        assert np.array_equal(blocks[g], make_coin_b(tuple(row)))
 
 
 def test_coin_b_needs_four_subs():

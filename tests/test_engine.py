@@ -9,7 +9,8 @@ from parrondoq.coins import (CoinParams, GameConfig, build_unitary,
 from parrondoq.engine import (CONVENTION_NAMES, CalibrationError,
                               PayoffConvention, PayoffReport,
                               calibrate_convention, discover_convention,
-                              evolve, make_initial_state, payoff_report, play)
+                              evolve, make_initial_state, payoff_report, play,
+                              play_many)
 from parrondoq.linalg import SizeLimitError, max_abs
 from parrondoq.noise import KINDS, NoiseSpec, apply_channel
 
@@ -244,6 +245,50 @@ def test_window_sweep_matches_dense_pipeline():
             for got, ref in zip(rep.per_qubit, want.per_qubit):
                 assert abs(got - ref) <= 1e-12, where
                 assert -1.0 <= got <= 1.0, where
+
+
+def random_point(rng):
+    """A random (config, noise) point: fully random coins, or calibrated
+    coins under either probability order, on any channel at random p."""
+    kind = int(rng.integers(3))
+    if kind == 2:
+        cfg = GameConfig(0.0, random_coin(rng),
+                         tuple(random_coin(rng) for _ in range(4)))
+    else:
+        cfg = calibrate_classical(
+            float(rng.uniform(0.0, 0.1)),
+            gamma=float(rng.uniform(0.0, 2 * PI)),
+            delta=float(rng.uniform(0.0, 2 * PI)),
+            betas=tuple(float(b) for b in rng.uniform(0.0, 2 * PI, 4)),
+            assignment=("printed", "canonical")[kind])
+    return cfg, NoiseSpec(str(rng.choice(KINDS)), float(rng.uniform()))
+
+
+def test_play_many_batch_matches_dense_pipeline():
+    """Every entry of one mixed batch equals its own dense computation, so
+    no entry leaks into another."""
+    rng = np.random.default_rng(5150)
+    points = [random_point(rng) for _ in range(24)]
+    assert {noise.kind for _, noise in points} == set(KINDS)
+    for sequence in ("AAB", "BAB", "(AB)^2B"):
+        dense = [dense_reports(sequence, cfg, noise) for cfg, noise in points]
+        for name, conv in CONVENTION_NAMES.items():
+            reports = play_many(sequence, points, conv)
+            assert len(reports) == len(points)
+            for (cfg, noise), rep, want in zip(points, reports, dense):
+                where = f"{sequence} {noise} {name}"
+                assert abs(rep.payoff - want[name].payoff) <= 1e-12, where
+                for got, ref in zip(rep.per_qubit, want[name].per_qubit,
+                                    strict=True):
+                    assert abs(got - ref) <= 1e-12, where
+
+
+def test_play_many_edge_cases():
+    cfg, noise = fig1_config(), NoiseSpec("dp", 0.3)
+    assert play_many("AAB", []) == []
+    assert play_many("AAB", [(cfg, noise)]) == [play("AAB", cfg, noise)]
+    with pytest.raises(SizeLimitError):
+        play_many("B^12", [(cfg, noise)])
 
 
 # --- convention search -----------------------------------------------------

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
+from parrondoq import figures
 from parrondoq.coins import calibrate_classical, max_payoff_phases
-from parrondoq.engine import PayoffConvention
-from parrondoq.figures import (CSV_HEADER, FIGURES, GRID_POINTS, SweepSetup,
-                               figure_csv, figure_rows, rows_to_csv,
-                               sweep_rows)
+from parrondoq.engine import CONVENTION_NAMES, PayoffConvention, play
+from parrondoq.figures import (CSV_HEADER, FIGURES, GRID_POINTS, SWEEP_VARS,
+                               SweepSetup, figure_csv, figure_rows,
+                               rows_to_csv, sweep_rows)
+from parrondoq.noise import KINDS
 
 PI = math.pi
 
@@ -67,6 +70,64 @@ def test_sweep_point_beta_precedence():
     assert [c.delta for c in cfg.coin_b] == [0.0, 2.0, 0.0, 0.0]
 
 
+def point_by_point(setup):
+    """The sweep as a plain loop of single-point plays."""
+    rows = []
+    for value in np.linspace(setup.start, setup.stop, setup.count):
+        for channel in setup.channels:
+            cfg, spec = setup.point(float(value), channel)
+            rows.append((setup.var, float(value), channel,
+                         play(setup.sequence, cfg, spec,
+                              setup.convention).payoff))
+    return rows
+
+
+def random_setup(rng, var):
+    """A random sweep of ``var``: sequence, grid, channels, fixed knobs,
+    probability order and convention all drawn from ``rng``."""
+    stop = {"p": 1.0, "eps": 0.1}.get(var, 2 * PI)
+    start, stop = sorted(float(x) for x in rng.uniform(0.0, stop, 2))
+    kinds = [str(k) for k in rng.permutation(KINDS)]
+    return SweepSetup(
+        str(rng.choice(("AAB", "B", "BB", "BBB", "ABAB", "(AAB)^2"))), var,
+        start, stop, int(rng.integers(1, 12)),
+        tuple(kinds[:int(rng.integers(1, 5))]),
+        p=float(rng.uniform()), eps=float(rng.uniform(0.0, 0.1)),
+        gamma=float(rng.uniform(0.0, 2 * PI)),
+        delta=float(rng.uniform(0.0, 2 * PI)),
+        alphas=tuple(float(a) for a in rng.uniform(0.0, 2 * PI, 4)),
+        betas=tuple(None if rng.uniform() < 0.5 else float(b)
+                    for b in rng.uniform(0.0, 2 * PI, 4)),
+        max_phases=bool(rng.integers(2)),
+        assignment=str(rng.choice(("printed", "canonical"))),
+        convention=CONVENTION_NAMES[str(rng.choice(list(CONVENTION_NAMES)))])
+
+
+def assert_rows_match(got, want, tol):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:3] == w[:3]
+        assert abs(g[3] - w[3]) <= tol, (g, w)
+
+
+def test_sweep_rows_equal_single_point_plays():
+    rng = np.random.default_rng(424242)
+    setups = list(FIGURES.values()) + [random_setup(rng, var)
+                                       for var in SWEEP_VARS]
+    for setup in setups:
+        assert_rows_match(sweep_rows(setup), point_by_point(setup), 1e-15)
+
+
+def test_sweep_block_boundaries_do_not_change_rows(monkeypatch):
+    rng = np.random.default_rng(77)
+    setups = [FIGURES[1], FIGURES[9], random_setup(rng, "beta2")]
+    monkeypatch.setattr(figures, "SWEEP_BLOCK", 10 ** 6)
+    whole = [sweep_rows(setup) for setup in setups]
+    monkeypatch.setattr(figures, "SWEEP_BLOCK", 7)
+    for setup, want in zip(setups, whole):
+        assert_rows_match(sweep_rows(setup), want, 0.0)
+
+
 def test_rows_to_csv_format():
     text = rows_to_csv([("p", 0.5, "ad", -0.012345678901234),
                         ("p", -0.0, "none", 1e-17)])
@@ -75,6 +136,22 @@ def test_rows_to_csv_format():
     assert lines[1] == "p,0.5,ad,-0.0123456789012"
     assert lines[2].startswith("p,0,none,")     # -0.0 normalized
     assert text.endswith("\n")
+
+
+def test_csv_prints_rounding_noise_about_zero_as_zero():
+    text = rows_to_csv([("p", 1.0, "dp", -9.9e-15), ("p", 1.0, "dp", 1e-14),
+                        ("p", 1.0, "dp", 2.5e-7)])
+    assert text.splitlines()[1:] == ["p,1,dp,0", "p,1,dp,1e-14",
+                                     "p,1,dp,2.5e-07"]
+
+
+def test_depolarized_presets_print_zero_at_full_strength():
+    # the fully depolarized register pays exactly 0; the engine's sum
+    # leaves ~1e-16 of rounding, which must not reach the CSV
+    for number in (1, 8, 9):
+        rows = [line for line in figure_csv(number).splitlines()
+                if line.startswith("p,1,dp,")]
+        assert rows == ["p,1,dp,0"], number
 
 
 def test_figure_presets_cover_expected_setups():
