@@ -14,9 +14,8 @@ sum_k E_k^dagger E_k = I guarantees the output is again a density matrix.
 """
 import numpy as np
 
-from parrondoq.engine import make_initial_state
-from parrondoq.noise import (NoiseSpec, apply_channel, completeness_defect,
-                             kraus_single)
+from parrondoq.noise import NoiseSpec, completeness_defect, kraus_single
+from parrondoq.reference import apply_channel, make_initial_state
 
 np.set_printoptions(precision=3, suppress=True, linewidth=100)
 

@@ -7,19 +7,19 @@ damping) acts on the register before play. The package simulates arbitrary
 game sequences, evaluates closed-form reference payoffs, and cross-validates
 the two against each other.
 """
-from .coins import (CoinParams, GameConfig, GameStep, ParseError,
-                    SequencePlan, build_unitary, calibrate_classical,
+from .coins import (MAX_DIM, CoinParams, GameConfig, GameStep, ParseError,
+                    SequencePlan, SizeLimitError, calibrate_classical,
                     make_coin_a, make_coin_b, max_payoff_phases,
                     parse_sequence)
 from .engine import (CONVENTION_NAMES, DEFAULT_CONVENTION, CalibrationError,
                      ConventionFinding, PayoffConvention, PayoffReport,
-                     calibrate_convention, discover_convention, evolve,
-                     make_initial_state, payoff_report, play, play_many)
+                     calibrate_convention, discover_convention, play,
+                     play_many)
 from .figures import (FIGURES, SweepSetup, figure_csv, figure_rows,
                       rows_to_csv, sweep_rows)
-from .linalg import MAX_DIM, SizeLimitError
-from .noise import (KINDS, NoiseSpec, apply_channel, completeness_defect,
-                    kraus_single, lift_enumerated)
+from .noise import KINDS, NoiseSpec, completeness_defect, kraus_single
+from .reference import (apply_channel, build_unitary, evolve, lift_enumerated,
+                        make_initial_state, payoff_report)
 from .verify import CheckResult, format_report, run_all
 
 __version__ = "0.1.0"

@@ -18,11 +18,10 @@ import re
 import sys
 from dataclasses import replace
 
-from .coins import CoinParams, ParseError
+from .coins import CoinParams, ParseError, SizeLimitError
 from .engine import (CONVENTION_NAMES, CalibrationError, discover_convention,
                      play)
 from .figures import SWEEP_VARS, SweepSetup, rows_to_csv, sweep_rows, figure_csv
-from .linalg import SizeLimitError
 from .noise import KINDS
 from .verify import format_report, run_all
 

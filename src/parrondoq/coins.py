@@ -5,7 +5,11 @@ operator on (history2, history1, target): the two history qubits select one
 of four sub-coins. A sequence string such as ``"AAB"`` or ``"B^3"`` compiles
 to a plan over a single register in which every game writes one fresh result
 qubit and every B reads the two most recently written results; sequences that
-open with B get the missing history prepended as seed qubits.
+open with B get the missing history prepended as seed qubits. The register
+size caps (``MAX_QUBITS``, ``MAX_DIM``, ``SizeLimitError``) live here.
+``embed`` is a coin's literal Kronecker lift to a whole register; the tests
+and ``verify`` hold the axis-wise ``reference.build_unitary`` to products of
+such lifts.
 """
 from __future__ import annotations
 
@@ -14,13 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_DIM, SizeLimitError, embed, identity
-
 TAU = 2 * math.pi
+
+#: Largest matrix dimension any dense operation may produce (12 qubits).
+MAX_DIM = 2 ** 12
 
 #: Largest register any sequence may use (dimension 2^11; one kron with a
 #: 2x2 factor stays within MAX_DIM).
 MAX_QUBITS = 11
+
+
+class SizeLimitError(Exception):
+    """An operation would exceed the supported register size."""
 
 
 class ParseError(ValueError):
@@ -227,18 +236,16 @@ def parse_sequence(text: str) -> SequencePlan:
     return SequencePlan(tuple(games), seeds, total)
 
 
-def build_unitary(plan: SequencePlan, cfg: GameConfig) -> np.ndarray:
-    """Compile a plan to one register unitary (earliest game applied first)."""
-    n = plan.total_qubits
-    if 2 ** n > MAX_DIM // 2:
-        raise SizeLimitError(f"register of {n} qubits exceeds limit")
-    a = make_coin_a(cfg.coin_a)
-    b = make_coin_b(cfg.coin_b)
-    u = identity(2 ** n)
-    for step in plan.games:
-        if step.kind == "A":
-            factor = embed(a, step.target, n)
-        else:
-            factor = embed(b, step.history[0], n)
-        u = factor @ u
-    return u
+def embed(op: np.ndarray, first_qubit: int, n_qubits: int) -> np.ndarray:
+    """I (x) op (x) I: ``op`` lifted to an ``n_qubits`` register, acting on a
+    contiguous block starting at ``first_qubit`` (qubit 0 = most
+    significant). Raises SizeLimitError above MAX_DIM."""
+    k = int(round(np.log2(op.shape[0])))
+    hi = n_qubits - first_qubit - k
+    if first_qubit < 0 or hi < 0:
+        raise ValueError(f"operator does not fit at qubit {first_qubit}")
+    if 2 ** n_qubits > MAX_DIM:
+        raise SizeLimitError(
+            f"register dimension {2 ** n_qubits} exceeds limit {MAX_DIM}")
+    lifted = np.kron(np.eye(2 ** first_qubit, dtype=np.complex128), op)
+    return np.kron(lifted, np.eye(2 ** hi))

@@ -3,18 +3,15 @@
 The register starts in the n-qubit GHZ state. Decoherence acts once, before
 any game is played. A basis state's score is the sum of +1 per |1> (win) and
 -1 per |0> (loss) over the counted qubits, so the payoff is a sum of per-qubit
-+-1 expectations under a configurable counting convention.
++-1 expectations under a configurable counting convention (``_score``).
 
 ``play_many`` reads those expectations for many (coin configuration, noise)
 points of one sequence at once, from a left-to-right window sweep whose
 cost grows linearly with the number of games and which carries every point
 on a leading batch axis (``_window_expectations``). ``play`` is its
 one-point case, and the figure sweeps and convention searches call it in
-batches.
-The dense stages (``make_initial_state``, ``noise.apply_channel``,
-``coins.build_unitary``, ``evolve``, ``payoff_report``) build the full
-2^n x 2^n density matrix; they are the reference the sweep is tested
-against, for registers up to ``coins.MAX_QUBITS``.
+batches. The module holds no 2^n x 2^n matrix: the dense route the sweep is
+tested against lives in ``reference``.
 """
 from __future__ import annotations
 
@@ -25,8 +22,7 @@ import numpy as np
 from . import oracle
 from .coins import (GameConfig, SequencePlan, block_coins, calibrate_classical,
                     coin_matrices, max_payoff_phases, parse_sequence)
-from .linalg import MAX_DIM, SizeLimitError
-from .noise import NoiseSpec, kraus_single
+from .noise import NoiseSpec, channel_corners
 
 MASKS = ("all", "results")
 NORMALIZATIONS = ("total", "per_game", "per_qubit")
@@ -94,26 +90,6 @@ class ConventionFinding:
     anchor_rows: tuple[str, ...]   # rows the search matched on
 
 
-def make_initial_state(n_qubits: int) -> np.ndarray:
-    """GHZ density matrix: 1/2 at the four corners, 0 elsewhere."""
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    dim = 2 ** n_qubits
-    if dim > MAX_DIM:
-        raise SizeLimitError(f"register of {n_qubits} qubits exceeds limit")
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for i in (0, dim - 1):
-        for j in (0, dim - 1):
-            rho[i, j] = 0.5
-    return rho
-
-
-def evolve(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    if rho.shape != u.shape:
-        raise ValueError(f"shape mismatch: state {rho.shape}, unitary {u.shape}")
-    return u @ rho @ u.conj().T
-
-
 def _score(per_qubit, plan: SequencePlan,
            convention: PayoffConvention) -> float:
     """Payoff of per-qubit +-1 expectations under ``convention``."""
@@ -127,29 +103,8 @@ def _score(per_qubit, plan: SequencePlan,
     return float(total)
 
 
-def payoff_report(rho: np.ndarray, plan: SequencePlan,
-                  convention: PayoffConvention = DEFAULT_CONVENTION
-                  ) -> PayoffReport:
-    """Score expectation of a dense final state's diagonal under
-    ``convention``."""
-    n = plan.total_qubits
-    diag = np.real(np.diag(rho))
-    z = np.arange(2 ** n)
-    per_qubit = tuple(
-        float(np.sum((2.0 * ((z >> (n - 1 - q)) & 1) - 1.0) * diag))
-        for q in range(n)
-    )
-    return PayoffReport(_score(per_qubit, plan, convention), per_qubit)
-
-
 #: Score of a qubit's basis states: -1 for |0> (loss), +1 for |1> (win).
 _SCORE = np.array([-1.0, 1.0])
-
-
-def _corners(noise: NoiseSpec) -> np.ndarray:
-    """E(|x><y|) = sum_k E_k |x><y| E_k^dag, stacked at index 2x + y."""
-    ops = np.array(kraus_single(noise))
-    return np.einsum("kix,kjy->xyij", ops, ops.conj()).reshape(4, 2, 2)
 
 
 def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
@@ -157,7 +112,7 @@ def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
                          corners: np.ndarray) -> np.ndarray:
     """Per-qubit +-1 expectations, shape (G, n), of ``plan`` played at G
     points: A coins ``(G, 2, 2)``, B coins ``(G, 8, 8)`` and noise corners
-    ``(G, 4, 2, 2)`` (see ``_corners``).
+    ``(G, 4, 2, 2)`` (see ``noise.channel_corners``).
 
     The noised state is 1/2 sum_{x,y} (x)_q E(|x><y|): four product
     operators, one per corner (x, y). The sweep adds qubits left to right,
@@ -217,7 +172,7 @@ def play_many(sequence: str, points,
                         for c in (cfg.coin_a, *cfg.coin_b)]
                        for cfg, _ in points])
     coins = coin_matrices(*np.moveaxis(angles, -1, 0))
-    corner_of = {noise: _corners(noise)
+    corner_of = {noise: channel_corners(noise)
                  for noise in {noise for _, noise in points}}
     corners = np.array([corner_of[noise] for _, noise in points])
     expectations = _window_expectations(plan, coins[:, 0],

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .coins import GameConfig, calibrate_classical, max_payoff_phases
+from .coins import (GameConfig, SizeLimitError, calibrate_classical,
+                    max_payoff_phases)
 from .engine import DEFAULT_CONVENTION, PayoffConvention, play_many
 # Not called here: bench/tracing.py wraps ``figures.play``, so it stays
 # importable from this module.
@@ -29,6 +30,10 @@ from .noise import KINDS, NoiseSpec
 SWEEP_VARS = ("p", "eps", "delta", "beta1", "beta2", "beta3", "beta4")
 CSV_HEADER = "sweep_var,value,channel,payoff"
 _PI = math.pi
+
+#: Most (grid value, channel) points one sweep may ask for; larger grids are
+#: refused before any of their points is built.
+MAX_SWEEP_POINTS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,10 @@ class SweepSetup:
                 raise ValueError(f"unknown channel {ch!r}")
         if not self.channels:
             raise ValueError("need at least one channel")
+        points = self.count * len(self.channels)
+        if points > MAX_SWEEP_POINTS:
+            raise SizeLimitError(
+                f"sweep needs {points} points, limit is {MAX_SWEEP_POINTS}")
 
     def point(self, value: float, channel: str) -> tuple[GameConfig, NoiseSpec]:
         """Coin configuration and noise spec with ``var`` set to ``value``;

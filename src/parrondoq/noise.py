@@ -1,4 +1,4 @@
-"""Single-qubit Kraus channels and their action on a register.
+"""Single-qubit Kraus channels and their action on one qubit.
 
 Kraus operators (probability p in [0, 1]):
 
@@ -8,18 +8,15 @@ Kraus operators (probability p in [0, 1]):
     none               {I}
 
 The channel acts once, on the initial state, independently on every qubit.
-``apply_channel`` does this one qubit at a time (cost O(4^n) per qubit);
-``lift_enumerated`` builds the explicit n-qubit operator set instead and is
-kept for cross-validation on small registers only.
+``channel_corners`` gives its action on the four single-qubit basis
+operators |x><y|: the window sweep in ``engine`` and the dense
+``reference.apply_channel`` both apply the channel through it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
-
-from .linalg import SizeLimitError, dagger, max_abs
 
 KINDS = ("ad", "dp", "pd", "none")
 
@@ -27,9 +24,6 @@ _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _I2 = np.eye(2, dtype=np.complex128)
-
-#: lift_enumerated is for validation only; beyond this it refuses.
-MAX_ENUMERATED_QUBITS = 4
 
 
 @dataclass(frozen=True)
@@ -71,53 +65,11 @@ def kraus_single(spec: NoiseSpec) -> list[np.ndarray]:
 def completeness_defect(ops: list[np.ndarray]) -> float:
     """max-entry residual of sum_k E_k^dag E_k - I."""
     dim = ops[0].shape[0]
-    acc = sum(dagger(e) @ e for e in ops)
-    return max_abs(acc - np.eye(dim))
+    acc = sum(e.conj().T @ e for e in ops)
+    return float(np.max(np.abs(acc - np.eye(dim))))
 
 
-def lift_enumerated(spec: NoiseSpec, n_qubits: int) -> list[np.ndarray]:
-    """All n-fold tensor products of the single-qubit set (k^n operators).
-
-    Validation path only; raises SizeLimitError above MAX_ENUMERATED_QUBITS.
-    """
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    if n_qubits > MAX_ENUMERATED_QUBITS:
-        raise SizeLimitError(
-            f"enumerated lift limited to {MAX_ENUMERATED_QUBITS} qubits, "
-            f"got {n_qubits}")
-    singles = kraus_single(spec)
-    out = []
-    for combo in product(singles, repeat=n_qubits):
-        op = combo[0]
-        for e in combo[1:]:
-            op = np.kron(op, e)
-        out.append(op)
-    return out
-
-
-def _apply_single(rho_t: np.ndarray, ops: list[np.ndarray],
-                  q: int, n: int) -> np.ndarray:
-    """Kraus-sum on qubit q of a (2,)*2n tensor (row axis q, col axis n+q)."""
-    out = np.zeros_like(rho_t)
-    for e in ops:
-        t = np.tensordot(e, rho_t, axes=([1], [q]))
-        t = np.moveaxis(t, 0, q)
-        t = np.tensordot(t, e.conj(), axes=([n + q], [1]))
-        out += np.moveaxis(t, -1, n + q)
-    return out
-
-
-def apply_channel(rho: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    """Apply the channel to every qubit of a register density matrix."""
-    dim = rho.shape[0]
-    n = int(round(np.log2(dim)))
-    if 2 ** n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    if spec.kind == "none" or spec.p == 0.0:
-        return rho.copy()
-    ops = kraus_single(spec)
-    rho_t = rho.reshape((2,) * (2 * n))
-    for q in range(n):
-        rho_t = _apply_single(rho_t, ops, q, n)
-    return rho_t.reshape(dim, dim)
+def channel_corners(noise: NoiseSpec) -> np.ndarray:
+    """E(|x><y|) = sum_k E_k |x><y| E_k^dag, stacked at index 2x + y."""
+    ops = np.array(kraus_single(noise))
+    return np.einsum("kix,kjy->xyij", ops, ops.conj()).reshape(4, 2, 2)

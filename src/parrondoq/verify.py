@@ -18,19 +18,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import oracle
-from .coins import (calibrate_classical, make_coin_a, make_coin_b,
-                    max_payoff_phases, parse_sequence, build_unitary,
-                    CoinParams)
+from .coins import (calibrate_classical, embed, make_coin_a, make_coin_b,
+                    max_payoff_phases, parse_sequence, CoinParams)
 from .engine import (CalibrationError, PayoffConvention, calibrate_convention,
-                     discover_convention, make_initial_state, play)
+                     discover_convention, play)
 from .figures import FIGURES, figure_csv, figure_rows
-from .linalg import embed, identity, kron, max_abs
-from .noise import (NoiseSpec, apply_channel, completeness_defect,
-                    kraus_single, lift_enumerated)
+from .noise import NoiseSpec, completeness_defect, kraus_single
+from .reference import (apply_channel, build_unitary, lift_enumerated,
+                        make_initial_state)
 
 _PI = math.pi
 _FIG1 = dict(eps=1 / 168, delta=_PI / 5,
@@ -91,7 +91,7 @@ def check_channel_routes_agree() -> CheckResult:
                 seq = apply_channel(rho, spec)
                 ops = lift_enumerated(spec, n)
                 summed = sum(e @ rho @ e.conj().T for e in ops)
-                worst = max(worst, max_abs(seq - summed))
+                worst = max(worst, np.abs(seq - summed).max())
     return _result("channel_routes_agree", worst, 1e-12)
 
 
@@ -134,10 +134,10 @@ def check_coin_unitarity() -> CheckResult:
         theta = float(rng.uniform(-_PI, _PI))
         gamma, delta = (float(rng.uniform(0, 2 * _PI)) for _ in range(2))
         a = make_coin_a(CoinParams(theta, gamma, delta))
-        worst = max(worst, max_abs(a @ a.conj().T - identity(2)))
+        worst = max(worst, np.abs(a @ a.conj().T - np.eye(2)).max())
     cfg = _fig1_config()
     b = make_coin_b(cfg.coin_b)
-    worst = max(worst, max_abs(b @ b.conj().T - identity(8)))
+    worst = max(worst, np.abs(b @ b.conj().T - np.eye(8)).max())
     return _result("coin_unitarity", worst, 1e-12)
 
 
@@ -161,40 +161,41 @@ def check_compiler_layout() -> CheckResult:
 
 
 def check_compiler_products() -> CheckResult:
-    """Compiled unitaries equal literally assembled tensor products."""
+    """Axis-wise compiled unitaries equal literally assembled tensor
+    products."""
     cfg = _fig1_config()
     a = make_coin_a(cfg.coin_a)
     b = make_coin_b(cfg.coin_b)
-    id2 = identity(2)
+    id2 = np.eye(2)
     worst = 0.0
-    # B chains: each successive factor places B one qubit later.
+    # B chains: each successive factor lifts B one qubit later.
     for n in (1, 2, 3):
         u = build_unitary(parse_sequence("B" * n), cfg)
-        literal = identity(2 ** (n + 2))
+        literal = np.eye(2 ** (n + 2))
         for k in range(n):
-            pads = [id2] * (n - 1)
-            pads.insert(k, b)
-            literal = kron(*pads) @ literal
-        worst = max(worst, max_abs(u - literal))
+            literal = embed(b, k, n + 2) @ literal
+        worst = max(worst, np.abs(u - literal).max())
     # Repeated AAB blocks never share qubits, so the compiled unitary is a
     # tensor power of the single-block unitary.
     block = build_unitary(parse_sequence("AAB"), cfg)
     for n in (1, 2, 3):
         u = build_unitary(parse_sequence(f"(AAB)^{n}"), cfg)
-        worst = max(worst, max_abs(u - kron(*([block] * n))))
-    # And embed() itself: A acting on qubit 1 of 3.
-    worst = max(worst, max_abs(embed(a, 1, 3) - kron(id2, a, id2)))
+        worst = max(worst, np.abs(u - reduce(np.kron, [block] * n)).max())
+    # And embed() itself: A on qubit 1 of 3, B on qubits 1-3 of 4.
+    for lifted, factors in ((embed(a, 1, 3), (id2, a, id2)),
+                            (embed(b, 1, 4), (id2, b))):
+        worst = max(worst, np.abs(lifted - reduce(np.kron, factors)).max())
     return _result("compiler_products", worst, 1e-13)
 
 
 def check_initial_state() -> CheckResult:
     rho = make_initial_state(3)
     worst = abs(np.trace(rho).real - 1.0)
-    worst = max(worst, max_abs(rho - rho.conj().T))
-    worst = max(worst, max_abs(rho @ rho - rho))   # purity
+    worst = max(worst, np.abs(rho - rho.conj().T).max())
+    worst = max(worst, np.abs(rho @ rho - rho).max())   # purity
     expected = np.zeros((8, 8))
     expected[0, 0] = expected[0, 7] = expected[7, 0] = expected[7, 7] = 0.5
-    worst = max(worst, max_abs(rho - expected))
+    worst = max(worst, np.abs(rho - expected).max())
     return _result("initial_state", worst, 1e-12)
 
 

@@ -115,6 +115,9 @@ def test_size_limit_exit_code(capsys):
     assert cli.main(["payoff", "--seq", "(AAB)^8"]) == 3
     err = capsys.readouterr().err
     assert "limit" in err
+    assert cli.main(["sweep", "--seq", "AAB", "--var", "p",
+                     "--grid", "0:1:1000000000000"]) == 3
+    assert "limit is 1000000" in capsys.readouterr().err
 
 
 def test_sweep_rejects_fixed_angle_overrides(capsys):

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parrondoq.coins import (CoinParams, ParseError, build_unitary,
-                             block_coins, calibrate_classical, coin_matrices,
-                             make_coin_a, make_coin_b,
+from parrondoq.coins import (MAX_DIM, CoinParams, GameConfig, ParseError,
+                             SizeLimitError, block_coins, calibrate_classical,
+                             coin_matrices, embed, make_coin_a, make_coin_b,
                              max_payoff_phases, parse_sequence)
-from parrondoq.linalg import SizeLimitError, identity, kron, max_abs
+from parrondoq.reference import build_unitary
 
 PI = math.pi
 
@@ -16,7 +16,7 @@ PI = math.pi
 # --- coin operators -------------------------------------------------------
 
 def test_coin_a_zero_angles_is_identity():
-    assert max_abs(make_coin_a(CoinParams(0.0, 0.0, 0.0)) - identity(2)) == 0
+    assert np.array_equal(make_coin_a(CoinParams(0.0, 0.0, 0.0)), np.eye(2))
 
 
 def test_coin_a_matrix_entries():
@@ -30,7 +30,7 @@ def test_coin_a_matrix_entries():
 
 def test_coin_a_unitary_and_special():
     a = make_coin_a(CoinParams(-1.1, 2.2, 3.3))
-    assert max_abs(a @ a.conj().T - identity(2)) < 1e-15
+    assert np.abs(a @ a.conj().T - np.eye(2)).max() < 1e-15
     assert np.linalg.det(a) == pytest.approx(1.0)   # SU(2)
 
 
@@ -56,11 +56,11 @@ def test_coin_b_block_diagonal_layout():
     assert b.shape == (8, 8)
     for i, sub in enumerate(subs):
         block = b[2 * i:2 * i + 2, 2 * i:2 * i + 2]
-        assert max_abs(block - make_coin_a(sub)) == 0
+        assert np.abs(block - make_coin_a(sub)).max() == 0
     off = b.copy()
     for i in range(4):
         off[2 * i:2 * i + 2, 2 * i:2 * i + 2] = 0
-    assert max_abs(off) == 0
+    assert np.abs(off).max() == 0
 
 
 def test_coin_stacks_equal_one_coin_builds():
@@ -233,29 +233,28 @@ def test_build_unitary_single_games():
     cfg = _cfg()
     a = make_coin_a(cfg.coin_a)
     b = make_coin_b(cfg.coin_b)
-    assert max_abs(build_unitary(parse_sequence("A"), cfg) - a) == 0
-    assert max_abs(build_unitary(parse_sequence("B"), cfg) - b) == 0
+    assert np.abs(build_unitary(parse_sequence("A"), cfg) - a).max() == 0
+    assert np.abs(build_unitary(parse_sequence("B"), cfg) - b).max() == 0
 
 
 def test_build_unitary_matches_literal_products():
     cfg = _cfg()
     a = make_coin_a(cfg.coin_a)
     b = make_coin_b(cfg.coin_b)
-    id2 = identity(2)
     # AAB: A on qubit 0, A on qubit 1, then B across all three.
-    want = b @ kron(id2, a, id2) @ kron(a, id2, id2)
+    want = b @ embed(a, 1, 3) @ embed(a, 0, 3)
     got = build_unitary(parse_sequence("AAB"), cfg)
-    assert max_abs(got - want) < 1e-13
+    assert np.abs(got - want).max() < 1e-13
     # BB on four qubits: second B slides one qubit down.
-    want = kron(id2, b) @ kron(b, id2)
+    want = embed(b, 1, 4) @ embed(b, 0, 4)
     got = build_unitary(parse_sequence("BB"), cfg)
-    assert max_abs(got - want) < 1e-13
+    assert np.abs(got - want).max() < 1e-13
 
 
 def test_build_unitary_is_unitary():
     cfg = _cfg()
     u = build_unitary(parse_sequence("(AAB)^2"), cfg)
-    assert max_abs(u @ u.conj().T - identity(64)) < 1e-12
+    assert np.abs(u @ u.conj().T - np.eye(64)).max() < 1e-12
 
 
 def test_build_unitary_order_matters():
@@ -265,6 +264,64 @@ def test_build_unitary_order_matters():
     u_ab = build_unitary(plan_ab, cfg)
     a = make_coin_a(cfg.coin_a)
     b = make_coin_b(cfg.coin_b)
-    id2 = identity(2)
-    assert max_abs(u_ab - b @ kron(id2, a, id2)) < 1e-13
-    assert max_abs(u_ab - kron(id2, a, id2) @ b) > 1e-3
+    assert np.abs(u_ab - b @ embed(a, 1, 3)).max() < 1e-13
+    assert np.abs(u_ab - embed(a, 1, 3) @ b).max() > 1e-3
+
+
+def random_coin(rng):
+    return CoinParams(float(rng.uniform(-PI, PI)),
+                      float(rng.uniform(0.0, 2 * PI)),
+                      float(rng.uniform(0.0, 2 * PI)))
+
+
+def test_build_unitary_matches_embed_products_on_random_plans():
+    """Seeded random A/B sequences of up to 9 qubits, seeds included:
+    the axis-wise compiler against the product of literal lifts."""
+    rng = np.random.default_rng(20261018)
+    seeds, sizes = set(), set()
+    for _ in range(30):
+        games = int(rng.integers(1, 10))
+        sequence = "".join(rng.choice(("A", "B"), size=games))
+        plan = parse_sequence(sequence)
+        if plan.total_qubits > 9:
+            continue
+        seeds.add(plan.seed_count)
+        sizes.add(plan.total_qubits)
+        cfg = GameConfig(0.0, random_coin(rng),
+                         tuple(random_coin(rng) for _ in range(4)))
+        coins = {"A": make_coin_a(cfg.coin_a), "B": make_coin_b(cfg.coin_b)}
+        n = plan.total_qubits
+        want = np.eye(2 ** n)
+        for step in plan.games:
+            first = step.target if step.kind == "A" else step.history[0]
+            want = embed(coins[step.kind], first, n) @ want
+        got = build_unitary(plan, cfg)
+        assert np.abs(got - want).max() <= 1e-13, sequence
+    assert seeds == {0, 1, 2}
+    assert 9 in sizes
+
+
+# --- literal lifts --------------------------------------------------------
+
+def test_embed_places_block():
+    x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    assert np.array_equal(embed(x, 0, 2), np.kron(x, np.eye(2)))
+    assert np.array_equal(embed(x, 1, 2), np.kron(np.eye(2), x))
+    eight = embed(x, 1, 3)
+    assert eight.dtype == np.complex128
+    assert np.array_equal(eight, np.kron(np.kron(np.eye(2), x), np.eye(2)))
+
+
+def test_embed_rejects_out_of_range():
+    x = np.eye(4)
+    with pytest.raises(ValueError):
+        embed(x, 2, 3)          # would hang off the end
+    with pytest.raises(ValueError):
+        embed(x, -1, 3)
+
+
+def test_embed_size_limit():
+    with pytest.raises(SizeLimitError):
+        embed(np.eye(2), 0, 13)
+    # exactly MAX_DIM is allowed
+    assert embed(np.eye(2), 0, 12).shape[0] == MAX_DIM

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from parrondoq.coins import (CoinParams, GameConfig, build_unitary,
+from parrondoq.coins import (CoinParams, GameConfig, SizeLimitError,
                              calibrate_classical, max_payoff_phases,
                              parse_sequence)
 from parrondoq.engine import (CONVENTION_NAMES, CalibrationError,
                               PayoffConvention, PayoffReport,
-                              calibrate_convention, discover_convention,
-                              evolve, make_initial_state, payoff_report, play,
+                              calibrate_convention, discover_convention, play,
                               play_many)
-from parrondoq.linalg import SizeLimitError, max_abs
-from parrondoq.noise import KINDS, NoiseSpec, apply_channel
+from parrondoq.noise import KINDS, NoiseSpec
+from parrondoq.reference import (apply_channel, build_unitary, evolve,
+                                 make_initial_state, payoff_report)
 
 PI = math.pi
 PER_QUBIT = PayoffConvention("all", "per_qubit")
@@ -38,7 +38,7 @@ def test_initial_state_is_ghz_projector():
             want[i, j] = 0.5
     assert np.array_equal(rho, want)
     assert np.trace(rho).real == 1.0
-    assert max_abs(rho @ rho - rho) == 0    # pure
+    assert np.abs(rho @ rho - rho).max() == 0    # pure
 
 
 def test_initial_state_limits():
@@ -234,6 +234,11 @@ def test_window_sweep_matches_dense_pipeline():
     assert {plan.seed_count for plan in plans} == {0, 1, 2}
     assert max(plan.total_qubits for plan in plans) == 9
     assert {noise.kind for _, _, noise in cases} == set(KINDS)
+    # and the full 11-qubit register
+    rng = np.random.default_rng(11)
+    cases.append(("B^9", GameConfig(0.0, random_coin(rng),
+                                    tuple(random_coin(rng) for _ in range(4))),
+                  NoiseSpec("dp", float(rng.uniform()))))
     for sequence, cfg, noise in cases:
         dense = dense_reports(sequence, cfg, noise)
         for name, conv in CONVENTION_NAMES.items():

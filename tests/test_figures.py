@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from parrondoq import figures
-from parrondoq.coins import calibrate_classical, max_payoff_phases
+from parrondoq.coins import (SizeLimitError, calibrate_classical,
+                             max_payoff_phases)
 from parrondoq.engine import CONVENTION_NAMES, PayoffConvention, play
 from parrondoq.figures import (CSV_HEADER, FIGURES, GRID_POINTS, SWEEP_VARS,
                                SweepSetup, figure_csv, figure_rows,
@@ -31,6 +33,23 @@ def test_sweep_setup_validation():
         small_setup(channels=("bad",))
     with pytest.raises(ValueError):
         small_setup(channels=())
+
+
+def test_oversized_sweep_is_refused_before_its_grid_exists():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError,
+                           match="sweep needs 2000000000000 points"):
+            small_setup(count=10 ** 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # the cap counts (grid value, channel) points
+    cap = figures.MAX_SWEEP_POINTS
+    assert small_setup(count=cap // 2).count == cap // 2
+    with pytest.raises(SizeLimitError):
+        small_setup(count=cap // 2 + 1)
 
 
 def test_sweep_rows_order_grid_major():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from parrondoq.linalg import SizeLimitError, max_abs
-from parrondoq.noise import (KINDS, MAX_ENUMERATED_QUBITS, NoiseSpec,
-                             apply_channel, completeness_defect, kraus_single,
-                             lift_enumerated)
+from parrondoq.coins import SizeLimitError, embed
+from parrondoq.noise import (KINDS, NoiseSpec, channel_corners,
+                             completeness_defect, kraus_single)
+from parrondoq.reference import (MAX_ENUMERATED_QUBITS, apply_channel,
+                                 lift_enumerated)
 
 
 def random_density(n_qubits, seed):
@@ -52,13 +53,40 @@ def test_depolarizing_weights():
     ops = kraus_single(NoiseSpec("dp", p))
     assert ops[0][0, 0] == pytest.approx(np.sqrt(1 - 3 * p / 4))
     for e in ops[1:]:
-        assert max_abs(e) == pytest.approx(np.sqrt(p / 4))
+        assert np.abs(e).max() == pytest.approx(np.sqrt(p / 4))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_completeness(kind, p):
     assert completeness_defect(kraus_single(NoiseSpec(kind, p))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_corners_are_the_channel_on_basis_operators(kind):
+    spec = NoiseSpec(kind, 0.37)
+    corners = channel_corners(spec)
+    assert corners.shape == (4, 2, 2)
+    for x in (0, 1):
+        for y in (0, 1):
+            basis = np.zeros((2, 2), dtype=complex)
+            basis[x, y] = 1.0
+            want = sum(e @ basis @ e.conj().T for e in kraus_single(spec))
+            assert np.abs(corners[2 * x + y] - want).max() < 1e-15
+
+
+@pytest.mark.parametrize("kind", ["ad", "dp", "pd"])
+def test_channel_on_six_qubits_equals_per_qubit_lifted_kraus_sums(kind):
+    """Past the enumerated route's cap: the Kraus sum on each qubit in
+    turn, every operator lifted by literal Kronecker products."""
+    n = 6
+    rho = random_density(n, seed=60)
+    spec = NoiseSpec(kind, 0.37)
+    want = rho
+    for q in range(n):
+        lifted = [embed(e, q, n) for e in kraus_single(spec)]
+        want = sum(e @ want @ e.conj().T for e in lifted)
+    assert np.abs(apply_channel(rho, spec) - want).max() < 1e-12
 
 
 def test_lift_enumerated_counts_and_limit():
@@ -78,7 +106,7 @@ def test_sequential_equals_enumerated(kind, n):
     seq = apply_channel(rho, spec)
     summed = sum(e @ rho @ e.conj().T
                  for e in lift_enumerated(spec, n))
-    assert max_abs(seq - summed) < 1e-12
+    assert np.abs(seq - summed).max() < 1e-12
 
 
 def test_apply_channel_preserves_trace_and_positivity():
@@ -102,21 +130,21 @@ def test_amplitude_damping_full_strength_collapses_to_ground():
     out = apply_channel(rho, NoiseSpec("ad", 1.0))
     want = np.zeros_like(out)
     want[0, 0] = 1.0
-    assert max_abs(out - want) < 1e-12
+    assert np.abs(out - want).max() < 1e-12
 
 
 def test_depolarizing_full_strength_is_maximally_mixed():
     rho = random_density(2, seed=4)
     out = apply_channel(rho, NoiseSpec("dp", 1.0))
-    assert max_abs(out - np.eye(4) / 4) < 1e-12
+    assert np.abs(out - np.eye(4) / 4).max() < 1e-12
 
 
 def test_phase_damping_keeps_diagonal_kills_coherence():
     rho = random_density(2, seed=6)
     out = apply_channel(rho, NoiseSpec("pd", 1.0))
-    assert max_abs(np.diag(out) - np.diag(rho)) < 1e-15
+    assert np.abs(np.diag(out) - np.diag(rho)).max() < 1e-15
     off = out - np.diag(np.diag(out))
-    assert max_abs(off) < 1e-12
+    assert np.abs(off).max() < 1e-12
 
 
 def test_apply_channel_rejects_bad_dimension():
