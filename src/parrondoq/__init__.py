@@ -9,15 +9,16 @@ the two against each other.
 """
 from .coins import (MAX_DIM, CoinParams, GameConfig, GameStep, ParseError,
                     SequencePlan, SizeLimitError, calibrate_classical,
-                    make_coin_a, make_coin_b, max_payoff_phases,
+                    coin_angles, make_coin_a, make_coin_b, max_payoff_phases,
                     parse_sequence)
 from .engine import (CONVENTION_NAMES, DEFAULT_CONVENTION, CalibrationError,
                      ConventionFinding, PayoffConvention, PayoffReport,
                      calibrate_convention, discover_convention, play,
-                     play_many)
+                     play_arrays, play_many)
 from .figures import (FIGURES, SweepSetup, figure_csv, figure_rows,
                       rows_to_csv, sweep_rows)
-from .noise import KINDS, NoiseSpec, completeness_defect, kraus_single
+from .noise import (KINDS, NoiseSpec, completeness_defect, corner_stack,
+                    kraus_single, kraus_stack)
 from .reference import (apply_channel, build_unitary, evolve, lift_enumerated,
                         make_initial_state, payoff_report)
 from .verify import CheckResult, format_report, run_all
@@ -26,17 +27,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoinParams", "GameConfig", "GameStep", "ParseError", "SequencePlan",
-    "build_unitary", "calibrate_classical", "make_coin_a", "make_coin_b",
+    "build_unitary", "calibrate_classical", "coin_angles", "make_coin_a",
+    "make_coin_b",
     "max_payoff_phases", "parse_sequence",
     "CONVENTION_NAMES", "DEFAULT_CONVENTION", "CalibrationError",
     "ConventionFinding", "PayoffConvention", "PayoffReport",
     "calibrate_convention", "discover_convention", "evolve",
-    "make_initial_state", "payoff_report", "play", "play_many",
+    "make_initial_state", "payoff_report", "play", "play_arrays", "play_many",
     "FIGURES", "SweepSetup", "figure_csv", "figure_rows", "rows_to_csv",
     "sweep_rows",
     "MAX_DIM", "SizeLimitError",
     "KINDS", "NoiseSpec", "apply_channel", "completeness_defect",
-    "kraus_single", "lift_enumerated",
+    "corner_stack", "kraus_single", "kraus_stack", "lift_enumerated",
     "CheckResult", "format_report", "run_all",
     "__version__",
 ]

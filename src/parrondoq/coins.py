@@ -5,11 +5,14 @@ operator on (history2, history1, target): the two history qubits select one
 of four sub-coins. A sequence string such as ``"AAB"`` or ``"B^3"`` compiles
 to a plan over a single register in which every game writes one fresh result
 qubit and every B reads the two most recently written results; sequences that
-open with B get the missing history prepended as seed qubits. The register
-size caps (``MAX_QUBITS``, ``MAX_DIM``, ``SizeLimitError``) live here.
-``embed`` is a coin's literal Kronecker lift to a whole register; the tests
-and ``verify`` hold the axis-wise ``reference.build_unitary`` to products of
-such lifts.
+open with B get the missing history prepended as seed qubits.
+``coin_angles`` is the calibration rule over arrays of knobs, and
+``coin_matrices`` the coin formula over arrays of angles;
+``calibrate_classical``, ``make_coin_a`` and ``make_coin_b`` are their
+one-point cases. The register size caps (``MAX_QUBITS``, ``MAX_DIM``,
+``SizeLimitError``) live here. ``embed`` is a coin's literal Kronecker lift
+to a whole register; the tests and ``verify`` hold the axis-wise
+``reference.build_unitary`` to products of such lifts.
 """
 from __future__ import annotations
 
@@ -115,6 +118,73 @@ def make_coin_b(params: tuple[CoinParams, ...]) -> np.ndarray:
     return block_coins(coin_matrices(*angles.T))
 
 
+def _refuse_outside(fields, high: float, interval: str) -> None:
+    """Raise for the first point, and at it the first ``(name, values)``
+    field, whose value lies outside [0, high]. Values are scalars or arrays
+    over points; a scalar is reported as given."""
+    given = [value for _, value in fields]
+    flat = np.concatenate([np.ravel(v) for v in given]).astype(float)
+    if ((0.0 <= flat) & (flat <= high)).all():
+        return
+    arrays = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                   for v in given))
+    bad = np.array([~((0.0 <= a) & (a <= high)) for a in arrays])
+    at = int(bad.any(axis=0).argmax())
+    field = int(bad[:, at].argmax())
+    value = (given[field] if np.ndim(given[field]) == 0
+             else float(arrays[field][at]))
+    raise ValueError(f"{fields[field][0]} {value} outside {interval}")
+
+
+def _asin_sqrt(q: np.ndarray) -> np.ndarray:
+    """asin(sqrt(q)) entry by entry through ``math``: numpy's vectorized
+    arcsin can differ from libm in the last bit, and every rotation angle
+    has always come from libm."""
+    return np.array([math.asin(math.sqrt(x)) for x in q.ravel().tolist()]
+                    ).reshape(q.shape)
+
+
+def coin_angles(epsilon, gamma=0.0, delta=0.0, alphas=(0.0,) * 4,
+                betas=(0.0,) * 4, assignment: str = "printed") -> np.ndarray:
+    """Rotation angles from the classical winning probabilities, for G
+    points at once: shape ``(G, 5, 3)``, the (theta, gamma, delta) of coin
+    A and then of B's sub-coins in history order 00,01,10,11.
+
+    Every knob is a scalar or an array of G values (``alphas`` and
+    ``betas`` hold four of either: the sub-coins' gammas and deltas).
+    sin^2 of each rotation equals the corresponding biased-coin
+    probability: 1/2 - eps for game A and (7/10, 1/4, 1/4, 9/10) - eps for
+    B's sub-coins. ``assignment="canonical"`` reverses the B list (history
+    00 gets the 9/10 coin), the ordering of the classical history-dependent
+    game; the built-in chain reference values are reproduced only under
+    this assignment (see discover_convention).
+
+    Raises ValueError, naming the first point's first bad knob, for an
+    epsilon outside [0, 0.1], a phase outside [0, 2pi], an unknown
+    assignment or other than four sub-coin phases.
+    """
+    _refuse_outside([("epsilon", epsilon)], 0.1, "[0, 0.1]")
+    if assignment not in ("printed", "canonical"):
+        raise ValueError(f"unknown assignment {assignment!r}")
+    if len(alphas) != 4 or len(betas) != 4:
+        raise ValueError("game B takes exactly four sub-coins")
+    _refuse_outside([(name, v) for a, b in zip(alphas, betas)
+                     for name, v in (("gamma", a), ("delta", b))]
+                    + [("gamma", gamma), ("delta", delta)], TAU, "[0, 2pi]")
+    eps = np.asarray(epsilon, dtype=float)
+    probs = [0.7 - eps, 0.25 - eps, 0.25 - eps, 0.9 - eps]
+    if assignment == "canonical":
+        probs.reverse()
+    thetas = _asin_sqrt(np.array([0.5 - eps] + probs))
+    phases = [(gamma, delta)] + list(zip(alphas, betas))
+    columns = [v for theta, pair in zip(thetas, phases)
+               for v in (theta, *pair)]
+    angles = np.empty(np.broadcast_shapes(*map(np.shape, columns)) + (15,))
+    for i, column in enumerate(columns):
+        angles[..., i] = column
+    return angles.reshape(-1, 5, 3)
+
+
 def calibrate_classical(
     epsilon: float,
     *,
@@ -124,28 +194,10 @@ def calibrate_classical(
     betas: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
     assignment: str = "printed",
 ) -> GameConfig:
-    """Rotation angles from the classical winning probabilities.
-
-    sin^2 of each rotation equals the corresponding biased-coin probability:
-    1/2 - eps for game A and (7/10, 1/4, 1/4, 9/10) - eps for B's sub-coins
-    in history order 00,01,10,11. ``assignment="canonical"`` reverses the
-    B list (history 00 gets the 9/10 coin), the ordering of the classical
-    history-dependent game; the built-in chain reference values are
-    reproduced only under this assignment (see discover_convention).
-    """
-    if not 0.0 <= epsilon <= 0.1:
-        raise ValueError(f"epsilon {epsilon} outside [0, 0.1]")
-    if assignment not in ("printed", "canonical"):
-        raise ValueError(f"unknown assignment {assignment!r}")
-    probs = [0.7 - epsilon, 0.25 - epsilon, 0.25 - epsilon, 0.9 - epsilon]
-    if assignment == "canonical":
-        probs.reverse()
-    theta = math.asin(math.sqrt(0.5 - epsilon))
-    subs = tuple(
-        CoinParams(math.asin(math.sqrt(q)), a, b)
-        for q, a, b in zip(probs, alphas, betas)
-    )
-    return GameConfig(epsilon, CoinParams(theta, gamma, delta), subs)
+    """The one-point case of ``coin_angles``, as validated coins."""
+    angles = coin_angles(epsilon, gamma, delta, alphas, betas, assignment)
+    coin_a, *subs = (CoinParams(*row) for row in angles[0].tolist())
+    return GameConfig(epsilon, coin_a, tuple(subs))
 
 
 def max_payoff_phases(delta: float) -> tuple[float, float, float, float]:

@@ -5,13 +5,15 @@ any game is played. A basis state's score is the sum of +1 per |1> (win) and
 -1 per |0> (loss) over the counted qubits, so the payoff is a sum of per-qubit
 +-1 expectations under a configurable counting convention (``_score``).
 
-``play_many`` reads those expectations for many (coin configuration, noise)
-points of one sequence at once, from a left-to-right window sweep whose
-cost grows linearly with the number of games and which carries every point
-on a leading batch axis (``_window_expectations``). ``play`` is its
-one-point case, and the figure sweeps and convention searches call it in
-batches. The module holds no 2^n x 2^n matrix: the dense route the sweep is
-tested against lives in ``reference``.
+``play_arrays`` reads those expectations for many points of one sequence
+at once, given as arrays of coin angles and noise corners, from a
+left-to-right window sweep whose cost grows linearly with the number of
+games and which carries every point on a leading batch axis
+(``_window_expectations``), and scores every point in one pass. The figure
+sweeps call it block by block. ``play_many`` is the same for a list of
+(coin configuration, noise) points, as the convention searches use, and
+``play`` its one-point case. The module holds no 2^n x 2^n matrix: the
+dense route the sweep is tested against lives in ``reference``.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 from . import oracle
 from .coins import (GameConfig, SequencePlan, block_coins, calibrate_classical,
                     coin_matrices, max_payoff_phases, parse_sequence)
-from .noise import NoiseSpec, channel_corners
+from .noise import NoiseSpec, corner_stack
 
 MASKS = ("all", "results")
 NORMALIZATIONS = ("total", "per_game", "per_qubit")
@@ -91,16 +93,20 @@ class ConventionFinding:
 
 
 def _score(per_qubit, plan: SequencePlan,
-           convention: PayoffConvention) -> float:
-    """Payoff of per-qubit +-1 expectations under ``convention``."""
+           convention: PayoffConvention) -> np.ndarray:
+    """Payoffs of per-qubit +-1 expectations ``(..., n)`` under
+    ``convention``; the counted qubits are added left to right."""
     n = plan.total_qubits
-    counted = range(n) if convention.mask == "all" else range(plan.seed_count, n)
-    total = sum(per_qubit[q] for q in counted)
+    first = 0 if convention.mask == "all" else plan.seed_count
+    counted = np.asarray(per_qubit, dtype=float)[..., first:]
+    # accumulate adds left to right as a plain sum() does, and 0.0 + turns
+    # an all -0.0 total into 0.0 as sum()'s integer start does
+    total = 0.0 + np.add.accumulate(counted, axis=-1)[..., -1]
     if convention.normalization == "per_game":
-        total /= len(plan.games)
+        total = total / len(plan.games)
     elif convention.normalization == "per_qubit":
-        total /= n
-    return float(total)
+        total = total / n
+    return total
 
 
 #: Score of a qubit's basis states: -1 for |0> (loss), +1 for |1> (win).
@@ -112,7 +118,7 @@ def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
                          corners: np.ndarray) -> np.ndarray:
     """Per-qubit +-1 expectations, shape (G, n), of ``plan`` played at G
     points: A coins ``(G, 2, 2)``, B coins ``(G, 8, 8)`` and noise corners
-    ``(G, 4, 2, 2)`` (see ``noise.channel_corners``).
+    ``(G, 4, 2, 2)`` (see ``noise.corner_stack``).
 
     The noised state is 1/2 sum_{x,y} (x)_q E(|x><y|): four product
     operators, one per corner (x, y). The sweep adds qubits left to right,
@@ -160,25 +166,36 @@ def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
     return np.stack(per_qubit, axis=1)
 
 
+def play_arrays(sequence: str, angles: np.ndarray, corners: np.ndarray,
+                convention: PayoffConvention = DEFAULT_CONVENTION
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Payoffs ``(G,)`` and per-qubit expectations ``(G, n)`` of one
+    sequence string at G points, from one batched window sweep: coin angles
+    ``(G, 5, 3)`` as ``coins.coin_angles`` gives them and noise corners
+    ``(G, 4, 2, 2)`` as ``noise.corner_stack`` gives them."""
+    plan = parse_sequence(sequence)
+    coins = coin_matrices(*np.moveaxis(angles, -1, 0))
+    expectations = _window_expectations(plan, coins[:, 0],
+                                        block_coins(coins[:, 1:]), corners)
+    return _score(expectations, plan, convention), expectations
+
+
 def play_many(sequence: str, points,
               convention: PayoffConvention = DEFAULT_CONVENTION
               ) -> list[PayoffReport]:
     """Payoffs of one sequence string at many ``(GameConfig, NoiseSpec)``
-    points, in order, from one batched window sweep."""
-    plan = parse_sequence(sequence)
+    points, in order: ``play_arrays`` on their angles and corners."""
     if not points:
+        parse_sequence(sequence)
         return []
     angles = np.array([[(c.theta, c.gamma, c.delta)
                         for c in (cfg.coin_a, *cfg.coin_b)]
                        for cfg, _ in points])
-    coins = coin_matrices(*np.moveaxis(angles, -1, 0))
-    corner_of = {noise: channel_corners(noise)
-                 for noise in {noise for _, noise in points}}
-    corners = np.array([corner_of[noise] for _, noise in points])
-    expectations = _window_expectations(plan, coins[:, 0],
-                                        block_coins(coins[:, 1:]), corners)
-    return [PayoffReport(_score(row, plan, convention), tuple(row))
-            for row in expectations.tolist()]
+    corners = corner_stack([noise.kind for _, noise in points],
+                           [noise.p for _, noise in points])
+    payoffs, expectations = play_arrays(sequence, angles, corners, convention)
+    return [PayoffReport(payoff, tuple(row)) for payoff, row
+            in zip(payoffs.tolist(), expectations.tolist())]
 
 
 def play(sequence: str, cfg: GameConfig, noise: NoiseSpec,
@@ -213,15 +230,17 @@ def _chain_residuals(assignments, masks, normalizations) -> dict:
                 plan = parse_sequence(seq)
                 reports = play_many(seq, [(cfg, NoiseSpec(ch, p))
                                           for p, ch in points])
-                for (p, ch), report in zip(points, reports):
-                    ref = oracle.chain_b(n_games, ch, p, eps)
-                    row = f"{seq}:{ch}"
-                    for mask in masks:
-                        for norm in normalizations:
-                            r = abs(_score(report.per_qubit, plan,
-                                           PayoffConvention(mask, norm))
-                                    - ref)
-                            cell = (assignment, mask, norm)
+                per_qubit = [report.per_qubit for report in reports]
+                refs = [oracle.chain_b(n_games, ch, p, eps)
+                        for p, ch in points]
+                for mask in masks:
+                    for norm in normalizations:
+                        cell = (assignment, mask, norm)
+                        scores = _score(per_qubit, plan,
+                                        PayoffConvention(mask, norm))
+                        for (_, ch), score, ref in zip(points,
+                                                       scores.tolist(), refs):
+                            row, r = f"{seq}:{ch}", abs(score - ref)
                             if r > table[cell].get(row, 0.0):
                                 table[cell][row] = r
     return table

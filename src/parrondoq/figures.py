@@ -3,10 +3,14 @@
 A sweep varies one quantity (decoherence strength, a bias offset, or a phase
 angle) over a uniform grid, recalibrating the coins at every point, and
 reports one payoff per (grid value, channel) pair. Rows are ordered
-grid-major, channel-minor. ``SweepSetup.point`` is the one place that turns
-game knobs into a coin configuration and a noise spec; the CLI's ``payoff``
-is a one-point sweep. ``sweep_rows`` plays the points as one batched window
-sweep (``engine.play_many``), in blocks of at most ``SWEEP_BLOCK`` points.
+grid-major, channel-minor. ``SweepSetup._knobs`` is the one place that
+turns game knobs into each point's calibration inputs and strength;
+``SweepSetup.block`` builds a block's coin angles and noise corners from
+them as arrays, and ``SweepSetup.point`` builds one point's coin
+configuration and noise spec (the CLI's ``payoff`` is a one-point sweep).
+A sweep with any out-of-domain point is refused when it is set up.
+``sweep_rows`` plays blocks of at most ``SWEEP_BLOCK`` points, each as one
+batched window sweep (``engine.play_arrays``).
 Payoffs within 1e-14 of zero print as ``0`` in the CSV. Presets 1-9 pin the
 parameter choices for the standard plots; preset 7 evaluates the
 repeated-sequence closed forms instead of simulating.
@@ -20,12 +24,12 @@ import numpy as np
 
 from . import oracle
 from .coins import (GameConfig, SizeLimitError, calibrate_classical,
-                    max_payoff_phases)
-from .engine import DEFAULT_CONVENTION, PayoffConvention, play_many
+                    coin_angles, max_payoff_phases)
+from .engine import DEFAULT_CONVENTION, PayoffConvention, play_arrays
 # Not called here: bench/tracing.py wraps ``figures.play``, so it stays
 # importable from this module.
 from .engine import play  # noqa: F401
-from .noise import KINDS, NoiseSpec
+from .noise import KINDS, NoiseSpec, corner_stack
 
 SWEEP_VARS = ("p", "eps", "delta", "beta1", "beta2", "beta3", "beta4")
 CSV_HEADER = "sweep_var,value,channel,payoff"
@@ -73,26 +77,75 @@ class SweepSetup:
         if points > MAX_SWEEP_POINTS:
             raise SizeLimitError(
                 f"sweep needs {points} points, limit is {MAX_SWEEP_POINTS}")
+        self._refuse_out_of_domain()
 
-    def point(self, value: float, channel: str) -> tuple[GameConfig, NoiseSpec]:
-        """Coin configuration and noise spec with ``var`` set to ``value``;
-        the ``none`` channel ignores p."""
+    def grid(self) -> np.ndarray:
+        """The values ``var`` takes, in order."""
+        return np.linspace(self.start, self.stop, self.count)
+
+    def _knobs(self, values, channels):
+        """epsilon, delta, p and the four betas with ``var`` set to
+        ``values``, each a scalar or one value per point; a swept or
+        explicit beta beats ``max_phases``, which beats 0, and the ``none``
+        channel ignores p."""
         knobs = {"p": self.p, "eps": self.eps, "delta": self.delta}
         betas = list(self.betas)
         if self.var.startswith("beta"):
-            betas[int(self.var[-1]) - 1] = value
+            betas[int(self.var[-1]) - 1] = values
         else:
-            knobs[self.var] = value
+            knobs[self.var] = values
         derived = (max_payoff_phases(knobs["delta"]) if self.max_phases
                    else (0.0, 0.0, 0.0, 0.0))
-        cfg = calibrate_classical(
-            knobs["eps"], gamma=self.gamma, delta=knobs["delta"],
-            alphas=self.alphas,
-            betas=tuple(d if b is None else b for b, d in zip(betas, derived)),
-            assignment=self.assignment)
-        spec = (NoiseSpec("none", 0.0) if channel == "none"
-                else NoiseSpec(channel, knobs["p"]))
-        return cfg, spec
+        betas = tuple(d if b is None else b for b, d in zip(betas, derived))
+        p = np.where(np.asarray(channels) == "none", 0.0, knobs["p"])
+        return knobs["eps"], knobs["delta"], p, betas
+
+    def block(self, values, channels) -> tuple[np.ndarray, np.ndarray]:
+        """Coin angles ``(G, 5, 3)`` and noise corners ``(G, 4, 2, 2)`` of G
+        points, with ``var`` set to ``values[i]`` and the channel to
+        ``channels[i]`` at point i."""
+        eps, delta, p, betas = self._knobs(np.asarray(values, dtype=float),
+                                           channels)
+        angles = coin_angles(eps, self.gamma, delta, self.alphas, betas,
+                             self.assignment)
+        corners = corner_stack(channels, p)
+        return np.broadcast_to(angles, (len(corners), 5, 3)), corners
+
+    def point(self, value: float, channel: str) -> tuple[GameConfig, NoiseSpec]:
+        """Coin configuration and noise spec of one point, from the same
+        knob rule as ``block``."""
+        eps, delta, p, betas = self._knobs(value, channel)
+        cfg = calibrate_classical(eps, gamma=self.gamma, delta=delta,
+                                  alphas=self.alphas, betas=betas,
+                                  assignment=self.assignment)
+        return cfg, NoiseSpec(channel, float(p))
+
+    def _refuse_out_of_domain(self) -> None:
+        """Raise the error the first out-of-domain point would raise, before
+        any point is played. Every knob's domain is an interval and the grid
+        is monotone with exact ends, so the points are all valid when both
+        ends are; otherwise the invalid ones are a prefix or a suffix."""
+        grid = self.grid()
+
+        def check(*at: int) -> None:
+            self.block(np.repeat(grid[list(at)], len(self.channels)),
+                       self.channels * len(at))
+
+        def valid(*at: int) -> bool:
+            try:
+                check(*at)
+            except ValueError:
+                return False
+            return True
+
+        good, bad = 0, self.count - 1
+        if valid(good, bad):
+            return
+        check(good)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            good, bad = (mid, bad) if valid(mid) else (good, mid)
+        check(bad)
 
 
 #: Most points one batched play takes, so memory stays flat on long grids.
@@ -103,19 +156,17 @@ SWEEP_BLOCK = 64
 
 def sweep_rows(setup: SweepSetup) -> list:
     """Evaluate a sweep; returns (var, value, channel, payoff) tuples."""
-    keys = [(float(value), channel)
-            for value in np.linspace(setup.start, setup.stop, setup.count)
-            for channel in setup.channels]
-    rows = []
-    for at in range(0, len(keys), SWEEP_BLOCK):
-        block = keys[at:at + SWEEP_BLOCK]
-        reports = play_many(setup.sequence,
-                            [setup.point(value, channel)
-                             for value, channel in block],
-                            setup.convention)
-        rows.extend((setup.var, value, channel, report.payoff)
-                    for (value, channel), report in zip(block, reports))
-    return rows
+    channels = setup.channels
+    values = np.repeat(setup.grid(), len(channels))
+    kinds = list(channels) * setup.count
+    payoffs = np.empty(len(values))
+    for at in range(0, len(values), SWEEP_BLOCK):
+        block = slice(at, at + SWEEP_BLOCK)
+        angles, corners = setup.block(values[block], kinds[block])
+        payoffs[block] = play_arrays(setup.sequence, angles, corners,
+                                     setup.convention)[0]
+    return list(zip([setup.var] * len(values), values.tolist(), kinds,
+                    payoffs.tolist()))
 
 
 #: Payoffs smaller than this print as 0: they are rounding noise about an

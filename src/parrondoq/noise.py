@@ -8,9 +8,12 @@ Kraus operators (probability p in [0, 1]):
     none               {I}
 
 The channel acts once, on the initial state, independently on every qubit.
-``channel_corners`` gives its action on the four single-qubit basis
-operators |x><y|: the window sweep in ``engine`` and the dense
-``reference.apply_channel`` both apply the channel through it.
+``corner_stack`` gives its action on the four single-qubit basis operators
+|x><y| at many points at once: the window sweep in ``engine`` and the dense
+``reference.apply_channel`` both apply the channel through it. Each formula
+takes an array of strengths (``kraus_stack`` for one kind, ``corner_stack``
+for one kind per point); ``kraus_single`` and ``channel_corners`` are their
+one-point cases.
 """
 from __future__ import annotations
 
@@ -24,6 +27,11 @@ _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _I2 = np.eye(2, dtype=np.complex128)
+_PAULIS = np.array([_I2, _SX, _SY, _SZ])
+#: Depolarizing weights squared are _DP_START + p * _DP_SLOPE: 1 - 0.75 p
+#: and 0 + 0.25 p round exactly as 1 - 3p/4 and p/4 do.
+_DP_START = np.array([1.0, 0.0, 0.0, 0.0])
+_DP_SLOPE = np.array([-0.75, 0.25, 0.25, 0.25])
 
 
 @dataclass(frozen=True)
@@ -38,28 +46,35 @@ class NoiseSpec:
             raise ValueError(f"p {self.p} outside [0, 1]")
 
 
+def kraus_stack(kind: str, p) -> np.ndarray:
+    """The single-qubit Kraus sets of one channel kind at each of an array
+    of strengths, shape ``(G, K, 2, 2)``. Raises ValueError for an unknown
+    kind or a strength outside [0, 1], naming the first such one."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    valid = (0.0 <= p) & (p <= 1.0)
+    if not valid.all():
+        raise ValueError(f"p {float(p[valid.argmin()])} outside [0, 1]")
+    if kind == "none":
+        return np.broadcast_to(_I2, p.shape + (1, 2, 2)).copy()
+    if kind == "dp":
+        weights = np.sqrt(_DP_START + p[..., None] * _DP_SLOPE)
+        return weights[..., None, None] * _PAULIS
+    ops = np.zeros(p.shape + (2, 2, 2), dtype=np.complex128)
+    ops[..., 0, 0, 0] = 1.0
+    ops[..., 0, 1, 1] = np.sqrt(1 - p)
+    if kind == "ad":
+        ops[..., 1, 0, 1] = np.sqrt(p)
+    else:                                   # phase damping
+        ops[..., 1, 1, 1] = np.sqrt(p)
+    return ops
+
+
 def kraus_single(spec: NoiseSpec) -> list[np.ndarray]:
-    """The single-qubit Kraus set for ``spec``."""
-    p = spec.p
-    if spec.kind == "none":
-        return [_I2.copy()]
-    if spec.kind == "ad":
-        return [
-            np.array([[1, 0], [0, np.sqrt(1 - p)]], dtype=np.complex128),
-            np.array([[0, np.sqrt(p)], [0, 0]], dtype=np.complex128),
-        ]
-    if spec.kind == "pd":
-        return [
-            np.array([[1, 0], [0, np.sqrt(1 - p)]], dtype=np.complex128),
-            np.array([[0, 0], [0, np.sqrt(p)]], dtype=np.complex128),
-        ]
-    # depolarizing
-    return [
-        np.sqrt(1 - 3 * p / 4) * _I2,
-        np.sqrt(p / 4) * _SX,
-        np.sqrt(p / 4) * _SY,
-        np.sqrt(p / 4) * _SZ,
-    ]
+    """The single-qubit Kraus set for ``spec``: the one-point case of
+    ``kraus_stack``."""
+    return list(kraus_stack(spec.kind, spec.p)[0])
 
 
 def completeness_defect(ops: list[np.ndarray]) -> float:
@@ -69,7 +84,25 @@ def completeness_defect(ops: list[np.ndarray]) -> float:
     return float(np.max(np.abs(acc - np.eye(dim))))
 
 
+def corner_stack(kinds, p) -> np.ndarray:
+    """E(|x><y|) = sum_k E_k |x><y| E_k^dag, stacked at index 2x + y, for G
+    points at once: shape ``(G, 4, 2, 2)``. ``kinds`` is one channel kind
+    or one per point, ``p`` one strength or one per point."""
+    kinds = [kinds] if isinstance(kinds, str) else list(kinds)
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if len(p) < len(kinds):
+        p = np.broadcast_to(p, (len(kinds),))
+    if len(set(kinds)) == 1:
+        ops = kraus_stack(kinds[0], p)
+        return np.einsum("gkix,gkjy->gxyij", ops, ops.conj()
+                         ).reshape(-1, 4, 2, 2)
+    corners = np.empty((len(p), 4, 2, 2), dtype=np.complex128)
+    for kind in dict.fromkeys(kinds):
+        at = np.array([k == kind for k in kinds])
+        corners[at] = corner_stack(kind, p[at])
+    return corners
+
+
 def channel_corners(noise: NoiseSpec) -> np.ndarray:
-    """E(|x><y|) = sum_k E_k |x><y| E_k^dag, stacked at index 2x + y."""
-    ops = np.array(kraus_single(noise))
-    return np.einsum("kix,kjy->xyij", ops, ops.conj()).reshape(4, 2, 2)
+    """The one-point case of ``corner_stack``."""
+    return corner_stack(noise.kind, noise.p)[0]

@@ -15,8 +15,6 @@ checked against.
 """
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from .coins import (MAX_DIM, GameConfig, SequencePlan, SizeLimitError,
@@ -61,7 +59,8 @@ def apply_channel(rho: np.ndarray, spec: NoiseSpec) -> np.ndarray:
 
 
 def lift_enumerated(spec: NoiseSpec, n_qubits: int) -> list[np.ndarray]:
-    """All n-fold tensor products of the single-qubit set (k^n operators).
+    """All n-fold tensor products of the single-qubit set (k^n operators),
+    in ``itertools.product`` order, built as one stacked outer product.
 
     Validation path only; raises SizeLimitError above MAX_ENUMERATED_QUBITS.
     """
@@ -71,14 +70,14 @@ def lift_enumerated(spec: NoiseSpec, n_qubits: int) -> list[np.ndarray]:
         raise SizeLimitError(
             f"enumerated lift limited to {MAX_ENUMERATED_QUBITS} qubits, "
             f"got {n_qubits}")
-    singles = kraus_single(spec)
-    out = []
-    for combo in product(singles, repeat=n_qubits):
-        op = combo[0]
-        for e in combo[1:]:
-            op = np.kron(op, e)
-        out.append(op)
-    return out
+    singles = np.array(kraus_single(spec))
+    ops = singles
+    for _ in range(n_qubits - 1):
+        k, d = len(ops), ops.shape[-1]
+        ops = (ops[:, None, :, None, :, None]
+               * singles[None, :, None, :, None, :]
+               ).reshape(k * len(singles), 2 * d, 2 * d)
+    return list(ops)
 
 
 def _on_axes(op: np.ndarray, tensor: np.ndarray, first: int) -> np.ndarray:
@@ -121,4 +120,5 @@ def payoff_report(rho: np.ndarray, plan: SequencePlan,
         float(np.sum((2.0 * ((z >> (n - 1 - q)) & 1) - 1.0) * diag))
         for q in range(n)
     )
-    return PayoffReport(_score(per_qubit, plan, convention), per_qubit)
+    return PayoffReport(float(_score(per_qubit, plan, convention)),
+                        per_qubit)

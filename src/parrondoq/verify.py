@@ -89,8 +89,8 @@ def check_channel_routes_agree() -> CheckResult:
             for p in (0.0, 0.3, 1.0):
                 spec = NoiseSpec(kind, p)
                 seq = apply_channel(rho, spec)
-                ops = lift_enumerated(spec, n)
-                summed = sum(e @ rho @ e.conj().T for e in ops)
+                ops = np.array(lift_enumerated(spec, n))
+                summed = (ops @ rho @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
                 worst = max(worst, np.abs(seq - summed).max())
     return _result("channel_routes_agree", worst, 1e-12)
 

@@ -120,6 +120,21 @@ def test_size_limit_exit_code(capsys):
     assert "limit is 1000000" in capsys.readouterr().err
 
 
+def test_out_of_domain_sweep_exits_before_playing(capsys, monkeypatch):
+    from parrondoq import engine, figures
+    calls = []
+    monkeypatch.setattr(engine, "_window_expectations",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(figures, "play_arrays",
+                        lambda *args: calls.append(args))
+    rc = cli.main(["sweep", "--seq", "AAB", "--var", "eps",
+                   "--grid", "0:0.2:40000", "--channel", "ad", "--p", "0.3"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: epsilon 0.10000250006250158 outside [0, 0.1]\n")
+    assert calls == []
+
+
 def test_sweep_rejects_fixed_angle_overrides(capsys):
     rc = cli.main(["sweep", "--seq", "AAB", "--var", "p", "--grid", "0:1:3",
                    "--theta", "pi/3"])

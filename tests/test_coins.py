@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parrondoq.coins import (MAX_DIM, CoinParams, GameConfig, ParseError,
+from parrondoq import coins
+from parrondoq.coins import (CoinParams, GameConfig, ParseError,
                              SizeLimitError, block_coins, calibrate_classical,
-                             coin_matrices, embed, make_coin_a, make_coin_b,
-                             max_payoff_phases, parse_sequence)
+                             coin_angles, coin_matrices, embed, make_coin_a,
+                             make_coin_b, max_payoff_phases, parse_sequence)
 from parrondoq.reference import build_unitary
 
 PI = math.pi
@@ -121,6 +122,92 @@ def test_calibrate_validates_epsilon_and_assignment():
         calibrate_classical(-0.01)
     with pytest.raises(ValueError):
         calibrate_classical(0.0, assignment="other")
+
+
+def random_knobs(rng, count):
+    """``count`` points of in-range calibration knobs drawn from ``rng``."""
+    return dict(epsilon=rng.uniform(0.0, 0.1, count),
+                gamma=rng.uniform(0.0, 2 * PI, count),
+                delta=rng.uniform(0.0, 2 * PI, count),
+                alphas=tuple(rng.uniform(0.0, 2 * PI, (4, count))),
+                betas=tuple(rng.uniform(0.0, 2 * PI, (4, count))))
+
+
+@pytest.mark.parametrize("assignment", ["printed", "canonical"])
+def test_coin_angles_equal_calibrate_classical(assignment):
+    rng = np.random.default_rng(168)
+    knobs = random_knobs(rng, 200)
+    angles = coin_angles(**knobs, assignment=assignment)
+    assert angles.shape == (200, 5, 3)
+    for g, row in enumerate(angles):
+        cfg = calibrate_classical(
+            float(knobs["epsilon"][g]), gamma=float(knobs["gamma"][g]),
+            delta=float(knobs["delta"][g]),
+            alphas=tuple(float(a[g]) for a in knobs["alphas"]),
+            betas=tuple(float(b[g]) for b in knobs["betas"]),
+            assignment=assignment)
+        want = [[c.theta, c.gamma, c.delta]
+                for c in (cfg.coin_a, *cfg.coin_b)]
+        assert row.tolist() == want
+    # scalar knobs broadcast against arrays; all-scalar is one point
+    mixed = coin_angles(0.05, gamma=knobs["gamma"][:3], assignment=assignment)
+    assert mixed.shape == (3, 5, 3)
+    assert coin_angles(0.05, assignment=assignment).shape == (1, 5, 3)
+
+
+def test_calibration_thetas_are_libm_values():
+    eps = 0.0371
+    cfg = calibrate_classical(eps)
+    assert cfg.coin_a.theta == math.asin(math.sqrt(0.5 - eps))
+    assert [c.theta for c in cfg.coin_b] == [
+        math.asin(math.sqrt(q))
+        for q in (0.7 - eps, 0.25 - eps, 0.25 - eps, 0.9 - eps)]
+
+
+OUT_OF_RANGE = [
+    (dict(epsilon=0.2), "epsilon 0.2 outside [0, 0.1]"),
+    (dict(epsilon=-0.01), "epsilon -0.01 outside [0, 0.1]"),
+    (dict(epsilon=float("nan")), "epsilon nan outside [0, 0.1]"),
+    (dict(gamma=7.0), "gamma 7.0 outside [0, 2pi]"),
+    (dict(delta=-1.0), "delta -1.0 outside [0, 2pi]"),
+    (dict(alphas=(0.0, 0.0, 6.5, 0.0)), "gamma 6.5 outside [0, 2pi]"),
+    (dict(betas=(0.0, -0.5, 0.0, 0.0)), "delta -0.5 outside [0, 2pi]"),
+    (dict(assignment="other"), "unknown assignment 'other'"),
+    # one point's checks run in calibration order: epsilon, assignment,
+    # the sub-coins' (gamma, delta) in turn, then coin A's
+    (dict(epsilon=0.5, assignment="other"), "epsilon 0.5 outside [0, 0.1]"),
+    (dict(gamma=7.0, betas=(0.0, 0.0, 0.0, 8.0)),
+     "delta 8.0 outside [0, 2pi]"),
+    (dict(delta=9.0, alphas=(9.5, 0.0, 0.0, 0.0)),
+     "gamma 9.5 outside [0, 2pi]"),
+]
+
+
+@pytest.mark.parametrize("knobs,message", OUT_OF_RANGE)
+def test_coin_angles_and_calibration_refuse_alike(knobs, message):
+    knobs = dict(knobs)
+    epsilon = knobs.pop("epsilon", 0.0)
+    with pytest.raises(ValueError) as scalar:
+        calibrate_classical(epsilon, **knobs)
+    with pytest.raises(ValueError) as batch:
+        coin_angles(epsilon, **knobs)
+    assert str(scalar.value) == str(batch.value) == message
+
+
+def test_coin_angles_need_four_sub_coins():
+    with pytest.raises(ValueError, match="exactly four sub-coins"):
+        coin_angles(0.0, alphas=(0.0,) * 3)
+    with pytest.raises(ValueError, match="exactly four sub-coins"):
+        calibrate_classical(0.0, betas=(0.0,) * 5)
+
+
+def test_coin_angles_name_the_first_bad_point():
+    with pytest.raises(ValueError, match=r"^epsilon 0\.3 outside"):
+        coin_angles(np.array([0.0, 0.05, 0.3, 0.4]))
+    # point 1 fails on its delta before point 2 on its gamma
+    with pytest.raises(ValueError, match=r"^delta 7\.0 outside"):
+        coin_angles(0.0, gamma=np.array([0.0, 0.0, 8.0]),
+                    delta=np.array([0.0, 7.0, 0.0]))
 
 
 def test_max_payoff_phases():
@@ -320,8 +407,12 @@ def test_embed_rejects_out_of_range():
         embed(x, -1, 3)
 
 
-def test_embed_size_limit():
+def test_embed_size_limit(monkeypatch):
+    # the real cap is refused before anything is allocated
     with pytest.raises(SizeLimitError):
         embed(np.eye(2), 0, 13)
-    # exactly MAX_DIM is allowed
-    assert embed(np.eye(2), 0, 12).shape[0] == MAX_DIM
+    # exactly MAX_DIM is allowed, shown at a small cap
+    monkeypatch.setattr(coins, "MAX_DIM", 2 ** 4)
+    assert embed(np.eye(2), 0, 4).shape[0] == 2 ** 4
+    with pytest.raises(SizeLimitError):
+        embed(np.eye(2), 0, 5)

@@ -7,10 +7,10 @@ from parrondoq.coins import (CoinParams, GameConfig, SizeLimitError,
                              calibrate_classical, max_payoff_phases,
                              parse_sequence)
 from parrondoq.engine import (CONVENTION_NAMES, CalibrationError,
-                              PayoffConvention, PayoffReport,
+                              PayoffConvention, PayoffReport, _score,
                               calibrate_convention, discover_convention, play,
-                              play_many)
-from parrondoq.noise import KINDS, NoiseSpec
+                              play_arrays, play_many)
+from parrondoq.noise import KINDS, NoiseSpec, corner_stack
 from parrondoq.reference import (apply_channel, build_unitary, evolve,
                                  make_initial_state, payoff_report)
 
@@ -107,6 +107,24 @@ def test_payoff_normalizations():
                        ("results-pergame", 1.0), ("results-perqubit", 1 / 3)]:
         rep = payoff_report(crafted_rho(diag), plan, CONVENTION_NAMES[name])
         assert rep.payoff == pytest.approx(want), name
+
+
+def test_score_adds_rows_in_plain_sum_order():
+    rng = np.random.default_rng(93)
+    rows = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-17, 3, (40, 6))
+    rows[0] = -0.0                       # sum() turns this total into +0.0
+    for sequence in ("B", "AAB", "BAB^2"):
+        plan = parse_sequence(sequence)
+        width = rows[:, :plan.total_qubits]
+        for convention in CONVENTION_NAMES.values():
+            first = 0 if convention.mask == "all" else plan.seed_count
+            scale = {"total": 1, "per_game": len(plan.games),
+                     "per_qubit": plan.total_qubits}[convention.normalization]
+            want = [sum(row[first:]) / scale for row in width.tolist()]
+            got = _score(width, plan, convention).tolist()
+            assert got == want
+            assert [math.copysign(1, x) for x in got] == \
+                [math.copysign(1, x) for x in want]
 
 
 def test_payoff_convention_validation():
@@ -286,6 +304,22 @@ def test_play_many_batch_matches_dense_pipeline():
                 for got, ref in zip(rep.per_qubit, want[name].per_qubit,
                                     strict=True):
                     assert abs(got - ref) <= 1e-12, where
+
+
+def test_play_arrays_is_play_many_on_angle_and_corner_arrays():
+    rng = np.random.default_rng(8)
+    cfg = fig1_config()
+    kinds = [str(k) for k in rng.choice(KINDS, 9)]
+    ps = rng.uniform(0.0, 1.0, 9)
+    points = [(cfg, NoiseSpec(k, float(p))) for k, p in zip(kinds, ps)]
+    angles = np.array([[(c.theta, c.gamma, c.delta)
+                        for c in (cfg.coin_a, *cfg.coin_b)]] * 9)
+    payoffs, per_qubit = play_arrays("ABAB", angles, corner_stack(kinds, ps),
+                                     PER_QUBIT)
+    reports = play_many("ABAB", points, PER_QUBIT)
+    assert payoffs.tolist() == [r.payoff for r in reports]
+    assert [tuple(row) for row in per_qubit.tolist()] == \
+        [r.per_qubit for r in reports]
 
 
 def test_play_many_edge_cases():

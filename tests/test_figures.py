@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,7 +12,7 @@ from parrondoq.engine import CONVENTION_NAMES, PayoffConvention, play
 from parrondoq.figures import (CSV_HEADER, FIGURES, GRID_POINTS, SWEEP_VARS,
                                SweepSetup, figure_csv, figure_rows,
                                rows_to_csv, sweep_rows)
-from parrondoq.noise import KINDS
+from parrondoq.noise import KINDS, channel_corners
 
 PI = math.pi
 
@@ -33,6 +34,51 @@ def test_sweep_setup_validation():
         small_setup(channels=("bad",))
     with pytest.raises(ValueError):
         small_setup(channels=())
+
+
+OUT_OF_DOMAIN = [
+    # (overrides, message): each names the first bad point in grid-major,
+    # channel-minor order, as a point-by-point sweep would meet it
+    (dict(var="eps", start=0.0, stop=0.2, count=40000, channels=("ad",),
+          p=0.3), f"epsilon {np.linspace(0.0, 0.2, 40000)[20000]} outside "
+                  "[0, 0.1]"),
+    (dict(var="p", start=0.0, stop=2.0, count=5, channels=("none", "ad")),
+     "p 1.5 outside [0, 1]"),
+    (dict(var="delta", start=-1.0, stop=1.0, count=5), "delta -1.0 outside "
+                                                       "[0, 2pi]"),
+    (dict(var="beta3", start=2 * PI, stop=7.0, count=4, channels=("ad",)),
+     f"delta {np.linspace(2 * PI, 7.0, 4)[1]} outside [0, 2pi]"),
+    (dict(var="beta2", start=0.0, stop=7.0, count=8, gamma=7.0),
+     "gamma 7.0 outside [0, 2pi]"),
+    (dict(var="eps", start=0.0, stop=0.05, count=3, p=1.5,
+          channels=("none", "dp")), "p 1.5 outside [0, 1]"),
+    (dict(var="eps", start=0.0, stop=0.05, count=3, p=1.5,
+          channels=("dp",), alphas=(0.0, 0.0, 0.0, -2.0)),
+     "gamma -2.0 outside [0, 2pi]"),
+]
+
+
+@pytest.mark.parametrize("overrides,message", OUT_OF_DOMAIN)
+def test_out_of_domain_sweep_is_refused_before_any_play(overrides, message,
+                                                        monkeypatch):
+    plays = []
+    monkeypatch.setattr(figures, "play_arrays",
+                        lambda *args: plays.append(args))
+    with pytest.raises(ValueError) as err:
+        sweep_rows(small_setup(**overrides))
+    assert str(err.value) == message
+    assert plays == []
+
+
+def test_domain_check_accepts_what_every_point_accepts():
+    # any p when every channel is none, and grids that touch the bounds
+    assert small_setup(p=7.0, channels=("none",)).p == 7.0
+    rows = sweep_rows(small_setup(var="p", start=3.0, stop=-1.0,
+                                  channels=("none",)))
+    assert len({r[3] for r in rows}) == 1
+    for var, stop in (("eps", 0.1), ("delta", 2 * PI), ("beta1", 2 * PI)):
+        assert len(sweep_rows(small_setup(var=var, stop=stop))) == 6
+    assert len(sweep_rows(small_setup(delta=2 * PI, max_phases=True))) == 6
 
 
 def test_oversized_sweep_is_refused_before_its_grid_exists():
@@ -135,6 +181,30 @@ def test_sweep_rows_equal_single_point_plays():
                                        for var in SWEEP_VARS]
     for setup in setups:
         assert_rows_match(sweep_rows(setup), point_by_point(setup), 1e-15)
+
+
+@pytest.mark.parametrize("max_phases", [False, True])
+@pytest.mark.parametrize("var", SWEEP_VARS)
+def test_sweep_rows_equal_single_point_plays_exactly(var, max_phases):
+    rng = np.random.default_rng([2009, SWEEP_VARS.index(var), max_phases])
+    for _ in range(3):
+        setup = dataclasses.replace(random_setup(rng, var),
+                                    max_phases=max_phases)
+        assert_rows_match(sweep_rows(setup), point_by_point(setup), 0.0)
+
+
+def test_block_is_the_one_point_rule_at_every_point():
+    setup = random_setup(np.random.default_rng(5), "delta")
+    values = setup.grid()
+    channels = [setup.channels[i % len(setup.channels)]
+                for i in range(len(values))]
+    angles, corners = setup.block(values, channels)
+    for value, channel, row, corner in zip(values.tolist(), channels,
+                                           angles, corners):
+        cfg, spec = setup.point(value, channel)
+        assert row.tolist() == [[c.theta, c.gamma, c.delta]
+                                for c in (cfg.coin_a, *cfg.coin_b)]
+        assert np.array_equal(corner, channel_corners(spec))
 
 
 def test_sweep_block_boundaries_do_not_change_rows(monkeypatch):

@@ -1,9 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from parrondoq.coins import SizeLimitError, embed
 from parrondoq.noise import (KINDS, NoiseSpec, channel_corners,
-                             completeness_defect, kraus_single)
+                             completeness_defect, corner_stack, kraus_single,
+                             kraus_stack)
 from parrondoq.reference import (MAX_ENUMERATED_QUBITS, apply_channel,
                                  lift_enumerated)
 
@@ -75,6 +78,36 @@ def test_corners_are_the_channel_on_basis_operators(kind):
             assert np.abs(corners[2 * x + y] - want).max() < 1e-15
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacks_equal_one_point_sets_exactly(kind):
+    rng = np.random.default_rng(2009)
+    ps = np.concatenate([rng.uniform(0.0, 1.0, 50), [0.0, 1.0]])
+    stack = kraus_stack(kind, ps)
+    corners = corner_stack(kind, ps)
+    assert corners.shape == (len(ps), 4, 2, 2)
+    for p, ops, corner in zip(ps.tolist(), stack, corners):
+        spec = NoiseSpec(kind, p)
+        assert np.array_equal(ops, np.array(kraus_single(spec)))
+        assert np.array_equal(corner, channel_corners(spec))
+
+
+def test_corner_stack_takes_one_kind_per_point():
+    kinds = ["ad", "none", "dp", "ad", "pd"]
+    ps = [0.3, 0.9, 0.5, 0.7, 0.2]
+    corners = corner_stack(kinds, ps)
+    for kind, p, corner in zip(kinds, ps, corners):
+        assert np.array_equal(corner, channel_corners(NoiseSpec(kind, p)))
+
+
+def test_stacks_refuse_like_noise_spec():
+    with pytest.raises(ValueError, match=r"^p 1\.5 outside \[0, 1\]$"):
+        kraus_stack("ad", [0.2, 1.5, -1.0])
+    with pytest.raises(ValueError, match=r"^p -0\.1 outside"):
+        corner_stack("dp", -0.1)
+    with pytest.raises(ValueError, match="unknown channel kind 'xx'"):
+        corner_stack(["ad", "xx"], 0.1)
+
+
 @pytest.mark.parametrize("kind", ["ad", "dp", "pd"])
 def test_channel_on_six_qubits_equals_per_qubit_lifted_kraus_sums(kind):
     """Past the enumerated route's cap: the Kraus sum on each qubit in
@@ -96,6 +129,21 @@ def test_lift_enumerated_counts_and_limit():
         lift_enumerated(NoiseSpec("ad", 0.3), MAX_ENUMERATED_QUBITS + 1)
     with pytest.raises(ValueError):
         lift_enumerated(NoiseSpec("ad", 0.3), 0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lift_enumerated_equals_kron_products(kind):
+    spec = NoiseSpec(kind, 0.37)
+    for n in range(1, MAX_ENUMERATED_QUBITS + 1):
+        want = []
+        for combo in product(kraus_single(spec), repeat=n):
+            op = combo[0]
+            for e in combo[1:]:
+                op = np.kron(op, e)
+            want.append(op)
+        got = lift_enumerated(spec, n)
+        assert isinstance(got, list) and len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("kind", ["ad", "dp", "pd"])
