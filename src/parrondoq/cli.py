@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import re
 import sys
@@ -125,6 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     subs.add_parser("verify", help="run the cross-validation registry")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call. Parsing keeps no
+    state in it: each call starts from a fresh namespace."""
+    return build_parser()
 
 
 def _load_config(path: str) -> dict:
@@ -273,9 +281,8 @@ _COMMANDS = {"payoff": cmd_payoff, "sweep": cmd_sweep,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:        # argparse handles --help/usage itself
         code = exc.code
         return int(code) if code else 0

@@ -217,32 +217,33 @@ _CAL_TOL = {1: 1e-6, 2: 1e-6, 3: 5e-3}
 
 
 def _chain_residuals(assignments, masks, normalizations) -> dict:
-    """Max |simulated - reference| per candidate per (sequence, channel)."""
+    """Max |simulated - reference| per candidate per (sequence, channel).
+
+    Each sequence is played once, as one batch over every assignment, eps,
+    strength and channel; every candidate convention scores that batch."""
     cells = [(a, m, nn) for a in assignments for m in masks
              for nn in normalizations]
     table = {cell: {} for cell in cells}
-    points = [(p, ch) for p in _CAL_PS for ch in _CAL_CHANNELS]
-    for assignment in assignments:
-        for eps in _CAL_EPS:
-            cfg = calibrate_classical(eps, betas=max_payoff_phases(0.0),
-                                      assignment=assignment)
-            for seq, n_games in _CAL_SEQS:
-                plan = parse_sequence(seq)
-                reports = play_many(seq, [(cfg, NoiseSpec(ch, p))
-                                          for p, ch in points])
-                per_qubit = [report.per_qubit for report in reports]
-                refs = [oracle.chain_b(n_games, ch, p, eps)
-                        for p, ch in points]
-                for mask in masks:
-                    for norm in normalizations:
-                        cell = (assignment, mask, norm)
-                        scores = _score(per_qubit, plan,
-                                        PayoffConvention(mask, norm))
-                        for (_, ch), score, ref in zip(points,
-                                                       scores.tolist(), refs):
-                            row, r = f"{seq}:{ch}", abs(score - ref)
-                            if r > table[cell].get(row, 0.0):
-                                table[cell][row] = r
+    configs = {(a, eps): calibrate_classical(eps, betas=max_payoff_phases(0.0),
+                                             assignment=a)
+               for a in assignments for eps in _CAL_EPS}
+    grid = [(a, eps, p, ch) for a, eps in configs
+            for p in _CAL_PS for ch in _CAL_CHANNELS]
+    points = [(configs[a, eps], NoiseSpec(ch, p)) for a, eps, p, ch in grid]
+    for seq, n_games in _CAL_SEQS:
+        plan = parse_sequence(seq)
+        per_qubit = [report.per_qubit for report in play_many(seq, points)]
+        refs = [oracle.chain_b(n_games, ch, p, eps)
+                for _, eps, p, ch in grid]
+        for mask in masks:
+            for norm in normalizations:
+                scores = _score(per_qubit, plan, PayoffConvention(mask, norm))
+                for (a, _, _, ch), score, ref in zip(grid, scores.tolist(),
+                                                     refs):
+                    cell, row = (a, mask, norm), f"{seq}:{ch}"
+                    r = abs(score - ref)
+                    if r > table[cell].get(row, 0.0):
+                        table[cell][row] = r
     return table
 
 

@@ -10,14 +10,22 @@ status:
   truncated printed polynomial, a reference claim the simulation contradicts).
   Classified findings are reported, not hidden, and do not fail the run.
 
-``run_all`` executes the registry; the CLI renders one line per check and
-exits nonzero only on hard failures.
+A check that compares over a grid of strengths, channels, phases or biases
+builds its ``(GameConfig, NoiseSpec)`` points first and plays them with one
+``engine.play_many`` call per sequence, calibrating one configuration per
+distinct set of knobs; only the timing check plays a single point. A batch
+returns exactly the payoffs of the same points played one by one, so the
+residuals do not depend on the batching.
+
+``run_all`` executes the registry and records each check's wall time on its
+result; the CLI renders one line per check and exits nonzero only on hard
+failures.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
@@ -25,8 +33,9 @@ import numpy as np
 from . import oracle
 from .coins import (calibrate_classical, embed, make_coin_a, make_coin_b,
                     max_payoff_phases, parse_sequence, CoinParams)
-from .engine import (CalibrationError, PayoffConvention, calibrate_convention,
-                     discover_convention, play)
+from .engine import (DEFAULT_CONVENTION, CalibrationError, PayoffConvention,
+                     calibrate_convention, discover_convention, play,
+                     play_many)
 from .figures import FIGURES, figure_csv, figure_rows
 from .noise import NoiseSpec, completeness_defect, kraus_single
 from .reference import (apply_channel, build_unitary, lift_enumerated,
@@ -36,6 +45,8 @@ _PI = math.pi
 _FIG1 = dict(eps=1 / 168, delta=_PI / 5,
              betas=(_PI / 2, _PI / 2, _PI / 4, _PI / 3))
 _PER_QUBIT = PayoffConvention("all", "per_qubit")
+#: The strength grid most checks sweep: 0, 0.1, ..., 1.
+_P11 = [float(p) for p in np.linspace(0.0, 1.0, 11)]
 
 
 @dataclass(frozen=True)
@@ -45,6 +56,8 @@ class CheckResult:
     residual: float      # the measured worst-case discrepancy
     tolerance: float     # what a pass requires (or required, if classified)
     detail: str = ""
+    #: wall time of the check in seconds, filled in by ``run_all``
+    elapsed: float = field(default=0.0, compare=False)
 
     @property
     def failed(self) -> bool:
@@ -64,6 +77,13 @@ def _classified(check_id, tag, residual, tolerance, detail):
 def _fig1_config(assignment="printed"):
     return calibrate_classical(_FIG1["eps"], delta=_FIG1["delta"],
                                betas=_FIG1["betas"], assignment=assignment)
+
+
+def _payoffs(sequence, points, convention=DEFAULT_CONVENTION) -> list:
+    """Payoffs of ``sequence`` at every ``(GameConfig, NoiseSpec)`` point, in
+    order, from one batched sweep."""
+    return [report.payoff
+            for report in play_many(sequence, points, convention)]
 
 
 def check_kraus_completeness() -> CheckResult:
@@ -114,16 +134,18 @@ def check_pd_diagonal_invariance() -> CheckResult:
 
 def check_gamma_alpha_independence() -> CheckResult:
     """The payoff never depends on the gamma-type phases of either coin."""
-    base: dict = {}
-    worst = 0.0
+    points = []
     for gamma in (0.0, 1.1, 5.9):
         for alpha in (0.0, 0.7, 2.3):
             cfg = calibrate_classical(
                 _FIG1["eps"], gamma=gamma, delta=_FIG1["delta"],
                 alphas=(alpha, 0.3, alpha, 1.9), betas=_FIG1["betas"])
-            for kind in ("ad", "dp", "pd"):
-                value = play("AAB", cfg, NoiseSpec(kind, 0.4)).payoff
-                worst = max(worst, abs(value - base.setdefault(kind, value)))
+            points += [(cfg, NoiseSpec(kind, 0.4))
+                       for kind in ("ad", "dp", "pd")]
+    base: dict = {}
+    worst = 0.0
+    for (_, noise), value in zip(points, _payoffs("AAB", points)):
+        worst = max(worst, abs(value - base.setdefault(noise.kind, value)))
     return _result("gamma_alpha_independence", worst, 1e-10)
 
 
@@ -202,38 +224,35 @@ def check_initial_state() -> CheckResult:
 def check_aab_p0_channel_agreement() -> CheckResult:
     """At p=0 every channel must reproduce the undecohered payoff."""
     cfg = _fig1_config()
-    base = play("AAB", cfg, NoiseSpec("none", 0.0)).payoff
-    worst = max(abs(play("AAB", cfg, NoiseSpec(kind, 0.0)).payoff - base)
-                for kind in ("ad", "dp", "pd"))
+    base, *others = _payoffs("AAB", [(cfg, NoiseSpec(kind, 0.0)) for kind
+                                     in ("none", "ad", "dp", "pd")])
+    worst = max(abs(value - base) for value in others)
     return _result("aab_p0_channel_agreement", worst, 1e-12)
 
 
 def check_aab_ad_tracks_reference() -> CheckResult:
     """Simulated AAB payoff vs the amplitude-damping closed form."""
-    worst = 0.0
     phase_sets = (
         _FIG1,
         dict(eps=1 / 112, delta=_PI / 3,
              betas=(_PI / 6, _PI, _PI / 5, 2 * _PI / 3)),
     )
-    for ps in phase_sets:
-        cfg = calibrate_classical(ps["eps"], delta=ps["delta"],
-                                  betas=ps["betas"])
-        for p in np.linspace(0.0, 1.0, 11):
-            sim = play("AAB", cfg, NoiseSpec("ad", float(p))).payoff
-            ref = oracle.aab("ad", float(p), cfg)
-            worst = max(worst, abs(sim - ref))
+    configs = [calibrate_classical(ps["eps"], delta=ps["delta"],
+                                   betas=ps["betas"]) for ps in phase_sets]
+    points = [(cfg, NoiseSpec("ad", p)) for cfg in configs for p in _P11]
+    worst = max(abs(sim - oracle.aab("ad", noise.p, cfg))
+                for (cfg, noise), sim in zip(points, _payoffs("AAB", points)))
     return _result("aab_ad_tracks_reference", worst, 1e-9)
 
 
 def _misprint_check(check_id, kind, tag, detail) -> CheckResult:
     cfg = _fig1_config()
+    sims = _payoffs("AAB", [(cfg, NoiseSpec(kind, p)) for p in _P11])
     stock = corrected = 0.0
-    for p in np.linspace(0.0, 1.0, 11):
-        sim = play("AAB", cfg, NoiseSpec(kind, float(p))).payoff
-        stock = max(stock, abs(sim - oracle.aab(kind, float(p), cfg)))
+    for p, sim in zip(_P11, sims):
+        stock = max(stock, abs(sim - oracle.aab(kind, p, cfg)))
         corrected = max(corrected, abs(
-            sim - oracle.aab(kind, float(p), cfg, corrected=True)))
+            sim - oracle.aab(kind, p, cfg, corrected=True)))
     if corrected <= 1e-9 and stock > 1e-3:
         return _classified(
             check_id, tag, corrected, 1e-9,
@@ -288,37 +307,38 @@ def check_convention_discovery() -> CheckResult:
                    "normalization")
 
 
-def _chain_play(seq, kind, p, eps):
-    cfg = calibrate_classical(eps, betas=max_payoff_phases(0.0),
-                              assignment="canonical")
-    return play(seq, cfg, NoiseSpec(kind, p), _PER_QUBIT).payoff
+def _chain_play(seq, grid) -> list:
+    """Per-qubit payoffs of ``seq`` at every ``(channel, p, eps)`` of
+    ``grid``, in order, from one batched sweep: canonical order and the
+    max-payoff phases, with one calibrated configuration per distinct eps."""
+    configs = {eps: calibrate_classical(eps, betas=max_payoff_phases(0.0),
+                                        assignment="canonical")
+               for eps in dict.fromkeys(eps for _, _, eps in grid)}
+    return _payoffs(seq, [(configs[eps], NoiseSpec(kind, p))
+                          for kind, p, eps in grid], _PER_QUBIT)
 
 
 def check_chain_b1_b2_track_reference() -> CheckResult:
     """Single and double B games vs their closed forms (ad and pd)."""
+    grid = [(kind, p, eps) for kind in ("ad", "pd")
+            for eps in (1 / 168, 1 / 112) for p in _P11]
     worst = 0.0
     for seq, n in (("B", 1), ("BB", 2)):
-        for kind in ("ad", "pd"):
-            for eps in (1 / 168, 1 / 112):
-                for p in np.linspace(0.0, 1.0, 11):
-                    sim = _chain_play(seq, kind, float(p), eps)
-                    ref = oracle.chain_b(n, kind, float(p), eps)
-                    worst = max(worst, abs(sim - ref))
+        for (kind, p, eps), sim in zip(grid, _chain_play(seq, grid)):
+            worst = max(worst, abs(sim - oracle.chain_b(n, kind, p, eps)))
     return _result("chain_b1_b2_track_reference", worst, 1e-6)
 
 
 def check_chain_dp_scaling() -> CheckResult:
     """The depolarizing chain forms assume a p/3-per-flip parametrization:
     simulating at strength p matches the forms evaluated at 3p/4."""
+    grid = [("dp", p, eps) for eps in (1 / 168, 1 / 112) for p in _P11]
     direct = rescaled = 0.0
     for seq, n in (("B", 1), ("BB", 2)):
-        for eps in (1 / 168, 1 / 112):
-            for p in np.linspace(0.0, 1.0, 11):
-                sim = _chain_play(seq, "dp", float(p), eps)
-                direct = max(direct, abs(
-                    sim - oracle.chain_b(n, "dp", float(p), eps)))
-                rescaled = max(rescaled, abs(
-                    sim - oracle.chain_b(n, "dp", 0.75 * float(p), eps)))
+        for (_, p, eps), sim in zip(grid, _chain_play(seq, grid)):
+            direct = max(direct, abs(sim - oracle.chain_b(n, "dp", p, eps)))
+            rescaled = max(rescaled, abs(
+                sim - oracle.chain_b(n, "dp", 0.75 * p, eps)))
     if rescaled <= 1e-9 and direct > 1e-3:
         return _classified(
             "chain_dp_scaling", "channel-scaling", rescaled, 1e-9,
@@ -330,11 +350,10 @@ def check_chain_dp_scaling() -> CheckResult:
 
 def check_chain_b3_pd() -> CheckResult:
     """Triple-B phase-damping form (two-decimal coefficients)."""
-    worst = 0.0
-    for eps in (1 / 168, 1 / 112):
-        for p in (0.0, 0.5, 1.0):
-            worst = max(worst, abs(_chain_play("BBB", "pd", p, eps)
-                                   - oracle.chain_b(3, "pd", p, eps)))
+    grid = [("pd", p, eps) for eps in (1 / 168, 1 / 112)
+            for p in (0.0, 0.5, 1.0)]
+    worst = max(abs(sim - oracle.chain_b(3, "pd", p, eps))
+                for (_, p, eps), sim in zip(grid, _chain_play("BBB", grid)))
     return _result("chain_b3_pd", worst, 5e-3)
 
 
@@ -343,12 +362,10 @@ def check_chain_b3_ad_truncation() -> CheckResult:
     agrees with simulation at coefficient-rounding level, but its
     p-dependence underestimates the decay (gap ~2e-2 at p=0.5, ~2.8e-1 at
     p=1)."""
-    at_zero = abs(_chain_play("BBB", "ad", 0.0, 1 / 168)
-                  - oracle.chain_b(3, "ad", 0.0, 1 / 168))
-    worst = at_zero
-    for p in np.linspace(0.0, 1.0, 11):
-        worst = max(worst, abs(_chain_play("BBB", "ad", float(p), 1 / 168)
-                               - oracle.chain_b(3, "ad", float(p), 1 / 168)))
+    grid = [("ad", p, 1 / 168) for p in _P11]
+    gaps = [abs(sim - oracle.chain_b(3, "ad", p, eps))
+            for (_, p, eps), sim in zip(grid, _chain_play("BBB", grid))]
+    at_zero, worst = gaps[0], max(gaps)     # the grid starts at p = 0
     if at_zero <= 5e-3 < worst:
         return _classified(
             "chain_b3_ad_truncation", "truncated-cubic", worst, 5e-3,
@@ -365,23 +382,25 @@ def check_a_series() -> CheckResult:
     payoff is exactly 0 for depolarizing and phase damping and exactly
     -2*eps*p for amplitude damping, at every length. The stock slope
     -(3/32)*eps*p matches at no chain length."""
+    configs = {eps: calibrate_classical(eps, delta=_PI / 2,
+                                        assignment="canonical")
+               for eps in (1 / 168, 1 / 112)}
+    grid = [(kind, p, eps) for eps in configs
+            for p in (0.0, 0.25, 0.5, 1.0) for kind in ("dp", "pd", "ad")]
+    points = [(configs[eps], NoiseSpec(kind, p)) for kind, p, eps in grid]
     worst_zero = 0.0
     worst_linear = 0.0
     matches = []
     for n in (1, 2, 3, 4):
-        seq = "A" * n
+        sims = _payoffs("A" * n, points, _PER_QUBIT)
         stock_worst = 0.0
-        for eps in (1 / 168, 1 / 112):
-            cfg = calibrate_classical(eps, delta=_PI / 2,
-                                      assignment="canonical")
-            for p in (0.0, 0.25, 0.5, 1.0):
-                for kind in ("dp", "pd"):
-                    worst_zero = max(worst_zero, abs(play(
-                        seq, cfg, NoiseSpec(kind, p), _PER_QUBIT).payoff))
-                sim = play(seq, cfg, NoiseSpec("ad", p), _PER_QUBIT).payoff
-                worst_linear = max(worst_linear, abs(sim - (-2 * eps * p)))
-                stock_worst = max(stock_worst,
-                                  abs(sim - oracle.series_a_ad(p, eps)))
+        for (kind, p, eps), sim in zip(grid, sims):
+            if kind != "ad":
+                worst_zero = max(worst_zero, abs(sim))
+                continue
+            worst_linear = max(worst_linear, abs(sim - (-2 * eps * p)))
+            stock_worst = max(stock_worst,
+                              abs(sim - oracle.series_a_ad(p, eps)))
         if stock_worst <= 1e-6:
             matches.append(n)
     worst = max(worst_zero, worst_linear)
@@ -396,12 +415,10 @@ def check_a_series() -> CheckResult:
 
 def check_series_aab_p0() -> CheckResult:
     """Repeated-AAB series at p=0 equals (2/15)*eps exactly."""
-    worst = 0.0
-    for eps in (1 / 168, 1 / 112):
-        cfg = calibrate_classical(eps, betas=max_payoff_phases(0.0),
-                                  assignment="canonical")
-        sim = play("(AAB)^2", cfg, NoiseSpec("none", 0.0), _PER_QUBIT).payoff
-        worst = max(worst, abs(sim - (2 / 15) * eps))
+    grid = [("none", 0.0, eps) for eps in (1 / 168, 1 / 112)]
+    sims = _chain_play("(AAB)^2", grid)
+    worst = max(abs(sim - (2 / 15) * eps)
+                for (_, _, eps), sim in zip(grid, sims))
     return _result("series_aab_p0", worst, 1e-9)
 
 
@@ -412,16 +429,12 @@ def check_series_aab_tracks_reference() -> CheckResult:
     scales with eps (the same residual/eps profile appears at both eps
     values); the check therefore bounds |sim - ref| / eps. The exact-at-p=0
     value has its own tight check above."""
-    worst = 0.0
-    for eps in (1 / 168, 1 / 112):
-        cfg = calibrate_classical(eps, betas=max_payoff_phases(0.0),
-                                  assignment="canonical")
-        for kind in ("ad", "dp", "pd"):
-            for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-                sim = play("(AAB)^2", cfg, NoiseSpec(kind, p),
-                           _PER_QUBIT).payoff
-                worst = max(worst, abs(
-                    sim - oracle.series_aab(kind, p, eps)) / eps)
+    grid = [(kind, p, eps) for eps in (1 / 168, 1 / 112)
+            for kind in ("ad", "dp", "pd")
+            for p in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    sims = _chain_play("(AAB)^2", grid)
+    worst = max(abs(sim - oracle.series_aab(kind, p, eps)) / eps
+                for (kind, p, eps), sim in zip(grid, sims))
     return _result("series_aab_tracks_reference", worst, 3e-2,
                    "residual measured relative to eps (rounded reference "
                    "coefficients)")
@@ -429,31 +442,23 @@ def check_series_aab_tracks_reference() -> CheckResult:
 
 def check_series_aab_stability() -> CheckResult:
     """The per-qubit series payoff does not depend on the chain length."""
-    cfg = calibrate_classical(1 / 168, betas=max_payoff_phases(0.0),
-                              assignment="canonical")
-    worst = 0.0
-    for kind in ("ad", "dp"):
-        for p in (0.0, 0.5):
-            two = play("(AAB)^2", cfg, NoiseSpec(kind, p), _PER_QUBIT).payoff
-            three = play("(AAB)^3", cfg, NoiseSpec(kind, p),
-                         _PER_QUBIT).payoff
-            worst = max(worst, abs(two - three))
+    grid = [(kind, p, 1 / 168) for kind in ("ad", "dp") for p in (0.0, 0.5)]
+    worst = max(abs(two - three) for two, three in zip(
+        _chain_play("(AAB)^2", grid), _chain_play("(AAB)^3", grid)))
     return _result("series_aab_stability", worst, 1e-12)
 
 
 def check_chain_phase_independence() -> CheckResult:
     """Pure-B chain payoffs ignore the quantum phases entirely."""
-    worst = 0.0
     phase_sets = ((0.0, 0.0, 0.0, 0.0), max_payoff_phases(_PI / 5),
                   (_PI / 7, 1.1, 2.2, 5.5))
+    points = [(calibrate_classical(1 / 168, delta=_PI / 5, betas=betas,
+                                   assignment="canonical"),
+               NoiseSpec("ad", 0.3)) for betas in phase_sets]
+    worst = 0.0
     for seq in ("B", "BB"):
-        base = None
-        for betas in phase_sets:
-            cfg = calibrate_classical(1 / 168, delta=_PI / 5, betas=betas,
-                                      assignment="canonical")
-            val = play(seq, cfg, NoiseSpec("ad", 0.3), _PER_QUBIT).payoff
-            if base is None:
-                base = val
+        base, *others = _payoffs(seq, points, _PER_QUBIT)
+        for val in others:
             worst = max(worst, abs(val - base))
     return _result("chain_phase_independence", worst, 1e-12)
 
@@ -538,7 +543,15 @@ CHECKS = (
 
 
 def run_all() -> list:
-    return [check() for check in CHECKS]
+    """Every check's result, in registry order, each carrying its wall time
+    in ``elapsed``."""
+    results = []
+    for check in CHECKS:
+        start = time.perf_counter()
+        result = check()
+        results.append(replace(result,
+                               elapsed=time.perf_counter() - start))
+    return results
 
 
 def format_report(results) -> str:

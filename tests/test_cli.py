@@ -1,4 +1,6 @@
+import importlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -292,3 +294,36 @@ def test_verify_command_exits_zero(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-1].startswith("verify: 26 checks")
     assert out[-1].endswith("0 fail")
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    """``main`` reuses one parser: a repeatable flag given in one call does
+    not carry into the next, and ``--help`` leaves the parser usable."""
+    sweep = ["sweep", "--seq", "AAB", "--var", "p", "--grid", "0:1:2",
+             "--eps", "1/168"]
+
+    def channels():
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        return [line.split(",")[2] for line in lines]
+
+    assert cli.main(sweep + ["--channel", "ad"]) == 0
+    assert channels() == ["ad", "ad"]
+    assert cli.main(sweep) == 0
+    assert channels() == ["none", "none"]
+    assert cli.main(["--help"]) == 0
+    capsys.readouterr()
+    assert cli.main(sweep + ["--channel", "pd"]) == 0
+    assert channels() == ["pd", "pd"]
+    assert cli._parser() is cli._parser()
+
+
+def test_console_script_resolves_to_main():
+    """The ``parrondoq`` entry point in pyproject.toml names ``cli.main``."""
+    tomllib = pytest.importorskip("tomllib")      # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["parrondoq"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert callable(entry)
+    assert entry is cli.main

@@ -306,6 +306,31 @@ def test_play_many_batch_matches_dense_pipeline():
                     assert abs(got - ref) <= 1e-12, where
 
 
+def test_play_many_equals_per_point_plays_exactly():
+    """A batch returns bit for bit what its points give one at a time, so
+    grouping points into one sweep (as verify's checks do) moves no
+    residual. The batch mixes all four channels, both chain eps values,
+    both probability orders and random phases."""
+    rng = np.random.default_rng(2009)
+    points = []
+    for eps in (1 / 168, 1 / 112):
+        for assignment in ("printed", "canonical"):
+            for kind in KINDS:
+                cfg = calibrate_classical(
+                    eps, gamma=float(rng.uniform(0.0, 2 * PI)),
+                    delta=float(rng.uniform(0.0, 2 * PI)),
+                    alphas=tuple(float(a) for a in rng.uniform(0, 2 * PI, 4)),
+                    betas=tuple(float(b) for b in rng.uniform(0, 2 * PI, 4)),
+                    assignment=assignment)
+                points.append((cfg, NoiseSpec(kind, float(rng.uniform()))))
+    points = [points[i] for i in rng.permutation(len(points))]
+    for sequence in ("B", "BBB", "AAB", "(AAB)^2"):
+        for name, conv in CONVENTION_NAMES.items():
+            want = [play(sequence, cfg, noise, conv) for cfg, noise in points]
+            assert play_many(sequence, points, conv) == want, \
+                f"{sequence} {name}"
+
+
 def test_play_arrays_is_play_many_on_angle_and_corner_arrays():
     rng = np.random.default_rng(8)
     cfg = fig1_config()

@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from parrondoq import verify
+from parrondoq import engine, verify
 
 EXPECTED_CLASSIFIED = {
     "aab_dp_coefficients": "classified:misprint",
@@ -77,3 +79,37 @@ def test_format_report(results):
         assert line.startswith(r.check_id)
         assert r.status in line
         assert f"tol={r.tolerance:<8.1e}".rstrip() in line
+
+
+def test_run_all_batches_every_grid(monkeypatch):
+    """Each grid check plays its points as one ``play_many`` per sequence,
+    and the convention searches play one batch per chain sequence. Only
+    ``performance_9q_pipeline`` times a single ``play``. Before the checks
+    were batched, one ``run_all`` made 368 single-point ``play`` calls and
+    402 window sweeps."""
+    calls = {"play": 0, "sweep": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verify, "play", counted("play", verify.play))
+    monkeypatch.setattr(engine, "_window_expectations",
+                        counted("sweep", engine._window_expectations))
+    verify.run_all()
+    assert calls["play"] == 1
+    assert calls["sweep"] <= 50
+
+
+def test_run_all_records_each_check_time():
+    start = time.perf_counter()
+    results = verify.run_all()
+    wall = time.perf_counter() - start
+    assert all(r.elapsed > 0 for r in results)
+    assert sum(r.elapsed for r in results) <= wall
+    timed = results[0]             # elapsed takes no part in ==
+    assert timed == verify.CheckResult(timed.check_id, timed.status,
+                                       timed.residual, timed.tolerance,
+                                       timed.detail)
