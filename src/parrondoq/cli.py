@@ -6,8 +6,9 @@ registry). Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 register size limit, 4 calibration failure.
 
 Angles accept multiples of pi ("pi/5", "2pi/3", "-pi/2") as well as plain
-numbers and fractions ("0.25", "1/168"). An INI config file can supply any
-flag's value; explicit flags win.
+floats and fractions of them ("0.25", ".5", "1e-3", "1/168"). An INI config
+file can supply any flag's value; explicit flags win, and a malformed file
+is a usage error.
 """
 from __future__ import annotations
 
@@ -26,13 +27,15 @@ from .figures import SWEEP_VARS, SweepSetup, rows_to_csv, sweep_rows, figure_csv
 from .noise import KINDS
 from .verify import format_report, run_all
 
+#: An unsigned plain float: "5", "5.", ".5", "2.5", "1e-3", "2.5E-1".
+_FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?"
 _NUMBER = re.compile(
-    r"^(?P<sign>[+-]?)(?P<num>\d+(?:\.\d+)?)?(?P<pi>pi)?"
-    r"(?:/(?P<den>\d+(?:\.\d+)?))?$")
+    rf"^(?P<sign>[+-]?)(?P<num>{_FLOAT})?(?P<pi>pi)?(?:/(?P<den>{_FLOAT}))?$")
 
 
 def parse_angle(text: str) -> float:
-    """Parse "pi/5", "2pi/3", "-pi", "0.4", "1/168" into a float."""
+    """Parse "pi/5", "2pi/3", "-pi", "0.4", "1e-3", "1/168" into a finite
+    float."""
     m = _NUMBER.match(text.strip().lower().replace(" ", ""))
     if not m or (m.group("num") is None and m.group("pi") is None):
         raise argparse.ArgumentTypeError(f"cannot parse number {text!r}")
@@ -45,6 +48,8 @@ def parse_angle(text: str) -> float:
             raise argparse.ArgumentTypeError("division by zero in "
                                              f"{text!r}")
         value /= den
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"number {text!r} is not finite")
     return -value if m.group("sign") == "-" else value
 
 
@@ -172,7 +177,12 @@ def _merge_config(ns: argparse.Namespace) -> None:
     """Fill unset flags from the config file; explicit flags win."""
     if not getattr(ns, "config", None):
         return
-    for key, value in _load_config(ns.config).items():
+    try:
+        values = _load_config(ns.config)
+    except (configparser.Error, argparse.ArgumentTypeError,
+            ValueError) as err:       # not INI, or a value its flag refuses
+        raise UsageError(f"config file {ns.config}: {err}") from None
+    for key, value in values.items():
         if hasattr(ns, key) and getattr(ns, key) is None:
             setattr(ns, key, value)
 

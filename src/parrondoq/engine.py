@@ -118,7 +118,8 @@ def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
                          corners: np.ndarray) -> np.ndarray:
     """Per-qubit +-1 expectations, shape (G, n), of ``plan`` played at G
     points: A coins ``(G, 2, 2)``, B coins ``(G, 8, 8)`` and noise corners
-    ``(G, 4, 2, 2)`` (see ``noise.corner_stack``).
+    ``(G, 4, 2, 2)`` (see ``noise.corner_stack``). Coins of leading size 1
+    are the same coins at every point.
 
     The noised state is 1/2 sum_{x,y} (x)_q E(|x><y|): four product
     operators, one per corner (x, y). The sweep adds qubits left to right,
@@ -156,7 +157,7 @@ def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
             coin = coins[kind_at[q]]
             m = 2 * d // coin.shape[-1]
             gate = (np.eye(m)[:, None, :, None] * coin[:, None, :, None, :]
-                    ).reshape(count, 1, 2 * d, 2 * d)
+                    ).reshape(len(coin), 1, 2 * d, 2 * d)
             window = gate @ window      # two steps: two stacks alive, not three
             window = window @ gate.conj().swapaxes(-1, -2)
         if d == 4:
@@ -171,8 +172,9 @@ def play_arrays(sequence: str, angles: np.ndarray, corners: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Payoffs ``(G,)`` and per-qubit expectations ``(G, n)`` of one
     sequence string at G points, from one batched window sweep: coin angles
-    ``(G, 5, 3)`` as ``coins.coin_angles`` gives them and noise corners
-    ``(G, 4, 2, 2)`` as ``noise.corner_stack`` gives them."""
+    ``(G, 5, 3)`` as ``coins.coin_angles`` gives them, or ``(1, 5, 3)`` for
+    one angle set at every point, and noise corners ``(G, 4, 2, 2)`` as
+    ``noise.corner_stack`` gives them."""
     plan = parse_sequence(sequence)
     coins = coin_matrices(*np.moveaxis(angles, -1, 0))
     expectations = _window_expectations(plan, coins[:, 0],

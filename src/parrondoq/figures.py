@@ -103,13 +103,13 @@ class SweepSetup:
     def block(self, values, channels) -> tuple[np.ndarray, np.ndarray]:
         """Coin angles ``(G, 5, 3)`` and noise corners ``(G, 4, 2, 2)`` of G
         points, with ``var`` set to ``values[i]`` and the channel to
-        ``channels[i]`` at point i."""
+        ``channels[i]`` at point i. A p-sweep's points share one angle set,
+        returned once, as ``(1, 5, 3)``."""
         eps, delta, p, betas = self._knobs(np.asarray(values, dtype=float),
                                            channels)
         angles = coin_angles(eps, self.gamma, delta, self.alphas, betas,
                              self.assignment)
-        corners = corner_stack(channels, p)
-        return np.broadcast_to(angles, (len(corners), 5, 3)), corners
+        return angles, corner_stack(channels, p)
 
     def point(self, value: float, channel: str) -> tuple[GameConfig, NoiseSpec]:
         """Coin configuration and noise spec of one point, from the same

@@ -22,12 +22,22 @@ PI = math.pi
     ("3/4", 0.75),
     ("+0.25", 0.25),
     ("1.5pi", 1.5 * PI),
+    ("1e-3", 1e-3),
+    (".5", 0.5),
+    ("5.", 5.0),
+    ("2.5e-1", 0.25),
+    ("-2.5E+1", -25.0),
+    ("1/1e3", 1e-3),
+    ("3/.5", 6.0),
+    ("pi/2.5e-1", 4 * PI),
 ])
 def test_parse_angle(text, want):
     assert cli.parse_angle(text) == pytest.approx(want)
 
 
-@pytest.mark.parametrize("bad", ["", "pie", "x/2", "/5", "1//2", "1/0", "--"])
+@pytest.mark.parametrize("bad", ["", "pie", "x/2", "/5", "1//2", "1/0", "--",
+                                 "nan", "inf", "-inf", "1e400", ".", "e5",
+                                 "1e", "1/0e5"])
 def test_parse_angle_rejects(bad):
     import argparse
     with pytest.raises(argparse.ArgumentTypeError):
@@ -276,6 +286,24 @@ jobs = 2
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 7
+
+
+MALFORMED_CONFIGS = {
+    "bad-number": "[game]\nseq = B\neps = abc\n",
+    "bad-grid": "[game]\nseq = B\n[sweep]\ngrid = 0:1\n",
+    "no-section-header": "[game\nseq = B\n",
+    "bad-boolean": "[game]\nseq = B\ncanonical = maybe\n",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_CONFIGS.values()),
+                         ids=list(MALFORMED_CONFIGS))
+def test_malformed_config_is_a_usage_error(tmp_path, capsys, text):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    assert cli.main(["payoff", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {ini}: ")
 
 
 def test_missing_config_file(capsys):

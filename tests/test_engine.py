@@ -345,6 +345,10 @@ def test_play_arrays_is_play_many_on_angle_and_corner_arrays():
     assert payoffs.tolist() == [r.payoff for r in reports]
     assert [tuple(row) for row in per_qubit.tolist()] == \
         [r.per_qubit for r in reports]
+    # one angle row stands for that row at every point, bit for bit
+    one = play_arrays("ABAB", angles[:1], corner_stack(kinds, ps), PER_QUBIT)
+    assert np.array_equal(one[0], payoffs)
+    assert np.array_equal(one[1], per_qubit)
 
 
 def test_play_many_edge_cases():
@@ -362,10 +366,10 @@ def test_calibrate_convention_reports_failure_with_table():
         calibrate_convention()
     table = err.value.residuals
     assert len(table) == 4            # the direct candidate space
-    for rows in table.values():
+    for cell, rows in table.items():
         assert set(rows) == {"B:ad", "B:dp", "B:pd", "BB:ad", "BB:dp",
-                             "BB:pd", "BBB:ad", "BBB:dp", "BBB:pd"}
-        assert max(rows.values()) > 1e-6
+                             "BB:pd", "BBB:ad", "BBB:dp", "BBB:pd"}, cell
+        assert min(rows.values()) > 1e-6, cell    # every row misses
 
 
 def test_discover_convention_pins_unique_cell():

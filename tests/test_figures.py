@@ -175,36 +175,36 @@ def assert_rows_match(got, want, tol):
         assert abs(g[3] - w[3]) <= tol, (g, w)
 
 
-def test_sweep_rows_equal_single_point_plays():
-    rng = np.random.default_rng(424242)
-    setups = list(FIGURES.values()) + [random_setup(rng, var)
-                                       for var in SWEEP_VARS]
-    for setup in setups:
-        assert_rows_match(sweep_rows(setup), point_by_point(setup), 1e-15)
-
-
 @pytest.mark.parametrize("max_phases", [False, True])
 @pytest.mark.parametrize("var", SWEEP_VARS)
 def test_sweep_rows_equal_single_point_plays_exactly(var, max_phases):
+    """Three random sweeps of ``var``, and every figure preset that sweeps
+    it with the same ``max_phases``."""
     rng = np.random.default_rng([2009, SWEEP_VARS.index(var), max_phases])
-    for _ in range(3):
-        setup = dataclasses.replace(random_setup(rng, var),
-                                    max_phases=max_phases)
+    setups = [dataclasses.replace(random_setup(rng, var),
+                                  max_phases=max_phases) for _ in range(3)]
+    setups += [setup for setup in FIGURES.values()
+               if (setup.var, setup.max_phases) == (var, max_phases)]
+    for setup in setups:
         assert_rows_match(sweep_rows(setup), point_by_point(setup), 0.0)
 
 
 def test_block_is_the_one_point_rule_at_every_point():
-    setup = random_setup(np.random.default_rng(5), "delta")
-    values = setup.grid()
-    channels = [setup.channels[i % len(setup.channels)]
-                for i in range(len(values))]
-    angles, corners = setup.block(values, channels)
-    for value, channel, row, corner in zip(values.tolist(), channels,
-                                           angles, corners):
-        cfg, spec = setup.point(value, channel)
-        assert row.tolist() == [[c.theta, c.gamma, c.delta]
-                                for c in (cfg.coin_a, *cfg.coin_b)]
-        assert np.array_equal(corner, channel_corners(spec))
+    for var in ("delta", "p"):
+        setup = random_setup(np.random.default_rng(5), var)
+        values = setup.grid()
+        channels = [setup.channels[i % len(setup.channels)]
+                    for i in range(len(values))]
+        angles, corners = setup.block(values, channels)
+        # a p-sweep block holds its one angle set once
+        assert len(angles) == (1 if var == "p" else len(values))
+        for value, channel, row, corner in zip(
+                values.tolist(), channels,
+                np.broadcast_to(angles, (len(values), 5, 3)), corners):
+            cfg, spec = setup.point(value, channel)
+            assert row.tolist() == [[c.theta, c.gamma, c.delta]
+                                    for c in (cfg.coin_a, *cfg.coin_b)]
+            assert np.array_equal(corner, channel_corners(spec))
 
 
 def test_sweep_block_boundaries_do_not_change_rows(monkeypatch):

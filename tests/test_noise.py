@@ -123,6 +123,7 @@ def test_channel_on_six_qubits_equals_per_qubit_lifted_kraus_sums(kind):
 
 
 def test_lift_enumerated_counts_and_limit():
+    assert MAX_ENUMERATED_QUBITS == 4
     assert len(lift_enumerated(NoiseSpec("ad", 0.3), 3)) == 8
     assert len(lift_enumerated(NoiseSpec("dp", 0.3), 2)) == 16
     with pytest.raises(SizeLimitError):
@@ -193,6 +194,10 @@ def test_phase_damping_keeps_diagonal_kills_coherence():
     assert np.abs(np.diag(out) - np.diag(rho)).max() < 1e-15
     off = out - np.diag(np.diag(out))
     assert np.abs(off).max() < 1e-12
+    rho = random_density(3, seed=7)
+    for p in (0.25, 0.5):
+        out = apply_channel(rho, NoiseSpec("pd", p))
+        assert np.abs(np.diag(out) - np.diag(rho)).max() <= 1e-15, p
 
 
 def test_apply_channel_rejects_bad_dimension():

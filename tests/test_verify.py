@@ -4,58 +4,37 @@ import pytest
 
 from parrondoq import engine, verify
 
-EXPECTED_CLASSIFIED = {
-    "aab_dp_coefficients": "classified:misprint",
-    "aab_pd_coefficients": "classified:misprint",
-    "convention_search": "classified:no-direct-match",
-    "chain_dp_scaling": "classified:channel-scaling",
-    "chain_b3_ad_truncation": "classified:truncated-cubic",
-    "a_series": "classified:stock-slope-mismatch",
-    "fig2_symmetry": "classified:asymmetric-about-pi/2",
-}
+# Each check's id, status and tolerance are pinned by the registry table in
+# test_acceptance.py; the ``registry`` fixture (conftest.py) is the one run
+# of ``verify.run_all`` both modules read.
 
 
-@pytest.fixture(scope="module")
-def results():
-    return verify.run_all()
-
-
-def test_registry_size(results):
-    assert len(results) == len(verify.CHECKS) == 26
-
-
-def test_check_ids_unique(results):
-    ids = [r.check_id for r in results]
+def test_check_ids_unique(registry):
+    ids = [r.check_id for r in registry]
     assert len(set(ids)) == len(ids)
 
 
-def test_no_check_fails(results):
-    failed = [r.check_id for r in results if r.failed]
+def test_no_check_fails(registry):
+    failed = [r.check_id for r in registry if r.failed]
     assert failed == []
 
 
-def test_classified_set_is_exactly_the_documented_one(results):
-    classified = {r.check_id: r.status for r in results
-                  if r.status.startswith("classified:")}
-    assert classified == EXPECTED_CLASSIFIED
-
-
-def test_passes_are_within_tolerance(results):
-    for r in results:
+def test_passes_are_within_tolerance(registry):
+    for r in registry:
         if r.status == "pass":
             assert r.residual <= r.tolerance, r.check_id
 
 
-def test_classified_checks_carry_detail(results):
-    for r in results:
+def test_classified_checks_carry_detail(registry):
+    for r in registry:
         if r.status.startswith("classified:"):
             assert r.detail, r.check_id
 
 
-def test_fig2_symmetry_pairs_every_grid_point(results):
+def test_fig2_symmetry_pairs_every_grid_point(registry):
     """Each of preset 2's 51 delta points meets its mirror pi - delta,
     wrapped into [0, 2pi); the residual is the worst pair's gap."""
-    result = next(r for r in results if r.check_id == "fig2_symmetry")
+    result = next(r for r in registry if r.check_id == "fig2_symmetry")
     assert "51 of 51 points paired" in result.detail
     assert result.residual == pytest.approx(1.8225e-2, abs=1e-6)
 
@@ -69,13 +48,13 @@ def test_result_flags():
     assert not cls.failed
 
 
-def test_format_report(results):
-    text = verify.format_report(results)
+def test_format_report(registry):
+    text = verify.format_report(registry)
     lines = text.strip().splitlines()
-    assert len(lines) == len(results) + 1
+    assert len(lines) == len(registry) + 1
     summary = lines[-1]
     assert summary == "verify: 26 checks, 19 pass, 7 classified, 0 fail"
-    for line, r in zip(lines, results):
+    for line, r in zip(lines, registry):
         assert line.startswith(r.check_id)
         assert r.status in line
         assert f"tol={r.tolerance:<8.1e}".rstrip() in line
