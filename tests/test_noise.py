@@ -123,7 +123,6 @@ def test_channel_on_six_qubits_equals_per_qubit_lifted_kraus_sums(kind):
 
 
 def test_lift_enumerated_counts_and_limit():
-    assert MAX_ENUMERATED_QUBITS == 4
     assert len(lift_enumerated(NoiseSpec("ad", 0.3), 3)) == 8
     assert len(lift_enumerated(NoiseSpec("dp", 0.3), 2)) == 16
     with pytest.raises(SizeLimitError):
