@@ -6,9 +6,8 @@ tolerance and, where a release requirement sets one, a bound on its wall
 time. So a new, dropped or reclassified check, a loosened tolerance or a
 failing comparison fails here, and each cross-check is computed once, by
 the registry. The tests below it pin what the registry does not check:
-the full residual table of the failed direct convention search, the cell
-the extended search pins, the enumerated route's qubit cap, an
-eleven-qubit play's time budget, determinism of all nine presets, and the
+both convention searches' findings in full, the enumerated route's cap,
+an eleven-qubit play's time budget, the presets' determinism, and the
 cause of the figure 2 symmetry finding.
 
 ``test_figure2_pd_curve_mirror_symmetry`` checks the mirror symmetry that
