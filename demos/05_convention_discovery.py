@@ -18,8 +18,9 @@ normalized per register qubit. Exactly one cell survives:
 canonical order, all qubits, per-qubit normalization.
 """
 from parrondoq.coins import calibrate_classical
-from parrondoq.engine import (CalibrationError, PayoffConvention,
-                              calibrate_convention, discover_convention, play)
+from parrondoq.engine import PayoffConvention, play
+from parrondoq.verify import (CalibrationError, calibrate_convention,
+                              discover_convention)
 from parrondoq.noise import NoiseSpec
 
 print("== Step 1: the direct candidates all miss ==")

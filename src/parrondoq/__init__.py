@@ -11,17 +11,17 @@ from .coins import (MAX_DIM, CoinParams, GameConfig, GameStep, ParseError,
                     SequencePlan, SizeLimitError, calibrate_classical,
                     coin_angles, make_coin_a, make_coin_b, max_payoff_phases,
                     parse_sequence)
-from .engine import (CONVENTION_NAMES, DEFAULT_CONVENTION, CalibrationError,
-                     ConventionFinding, PayoffConvention, PayoffReport,
-                     calibrate_convention, discover_convention, play,
-                     play_arrays, play_many)
+from .engine import (CONVENTION_NAMES, DEFAULT_CONVENTION, PayoffConvention,
+                     PayoffReport, play, play_arrays, play_many)
 from .figures import (FIGURES, SweepSetup, figure_csv, figure_rows,
                       rows_to_csv, sweep_rows)
 from .noise import (KINDS, NoiseSpec, completeness_defect, corner_stack,
                     kraus_single, kraus_stack)
 from .reference import (apply_channel, build_unitary, evolve, lift_enumerated,
                         make_initial_state, payoff_report)
-from .verify import CheckResult, format_report, run_all
+from .verify import (CalibrationError, CheckResult, ConventionFinding,
+                     calibrate_convention, discover_convention, format_report,
+                     run_all)
 
 __version__ = "0.1.0"
 

@@ -21,11 +21,11 @@ import sys
 from dataclasses import replace
 
 from .coins import CoinParams, ParseError, SizeLimitError
-from .engine import (CONVENTION_NAMES, CalibrationError, discover_convention,
-                     play)
+from .engine import CONVENTION_NAMES, play
 from .figures import SWEEP_VARS, SweepSetup, rows_to_csv, sweep_rows, figure_csv
 from .noise import KINDS
-from .verify import format_report, run_all
+from .verify import (CalibrationError, discover_convention, format_report,
+                     run_all)
 
 #: An unsigned plain float: "5", "5.", ".5", "2.5", "1e-3", "2.5E-1".
 _FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?"

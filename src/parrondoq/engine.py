@@ -11,9 +11,10 @@ left-to-right window sweep whose cost grows linearly with the number of
 games and which carries every point on a leading batch axis
 (``_window_expectations``), and scores every point in one pass. The figure
 sweeps call it block by block. ``play_many`` is the same for a list of
-(coin configuration, noise) points, as the convention searches use, and
-``play`` its one-point case. The module holds no 2^n x 2^n matrix: the
-dense route the sweep is tested against lives in ``reference``.
+(coin configuration, noise) points, as ``verify``'s checks use, and ``play``
+its one-point case. The module is simulation only: it holds no 2^n x 2^n
+matrix (the dense route lives in ``reference``) and no closed form (the
+comparisons, convention searches included, live in ``verify``).
 """
 from __future__ import annotations
 
@@ -21,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
-from .coins import (GameConfig, SequencePlan, block_coins, calibrate_classical,
-                    coin_matrices, max_payoff_phases, parse_sequence)
+from .coins import (GameConfig, SequencePlan, block_coins, coin_matrices,
+                    parse_sequence)
 from .noise import NoiseSpec, corner_stack
 
 MASKS = ("all", "results")
@@ -70,26 +70,6 @@ CONVENTION_NAMES = {
 class PayoffReport:
     payoff: float
     per_qubit: tuple[float, ...]   # +-1 expectation of every register qubit
-
-
-class CalibrationError(Exception):
-    """No counting convention reproduces the chain reference values.
-
-    ``residuals`` maps candidate name -> {"seq:channel": max residual}.
-    """
-
-    def __init__(self, message: str, residuals: dict):
-        super().__init__(message)
-        self.residuals = residuals
-
-
-@dataclass(frozen=True)
-class ConventionFinding:
-    """Result of the extended convention search."""
-    convention: PayoffConvention
-    assignment: str                # which probability-list order B's coins use
-    residuals: dict                # candidate name -> row -> max residual
-    anchor_rows: tuple[str, ...]   # rows the search matched on
 
 
 def _score(per_qubit, plan: SequencePlan,
@@ -205,107 +185,3 @@ def play(sequence: str, cfg: GameConfig, noise: NoiseSpec,
     """Payoff of a sequence string such as "AAB" or "B^3": the one-point
     case of ``play_many``."""
     return play_many(sequence, [(cfg, noise)], convention)[0]
-
-
-# ---------------------------------------------------------------------------
-# Convention calibration against the chain reference values.
-
-_CAL_PS = (0.0, 0.25, 0.5)
-_CAL_EPS = (1 / 168, 1 / 112)
-_CAL_SEQS = (("B", 1), ("BB", 2), ("BBB", 3))
-_CAL_CHANNELS = ("ad", "dp", "pd")
-#: chain_b3's printed coefficients are rounded to two decimals.
-_CAL_TOL = {1: 1e-6, 2: 1e-6, 3: 5e-3}
-
-
-def _chain_residuals(assignments, masks, normalizations) -> dict:
-    """Max |simulated - reference| per candidate per (sequence, channel).
-
-    Each sequence is played once, as one batch over every assignment, eps,
-    strength and channel; every candidate convention scores that batch."""
-    cells = [(a, m, nn) for a in assignments for m in masks
-             for nn in normalizations]
-    table = {cell: {} for cell in cells}
-    configs = {(a, eps): calibrate_classical(eps, betas=max_payoff_phases(0.0),
-                                             assignment=a)
-               for a in assignments for eps in _CAL_EPS}
-    grid = [(a, eps, p, ch) for a, eps in configs
-            for p in _CAL_PS for ch in _CAL_CHANNELS]
-    points = [(configs[a, eps], NoiseSpec(ch, p)) for a, eps, p, ch in grid]
-    for seq, n_games in _CAL_SEQS:
-        plan = parse_sequence(seq)
-        per_qubit = [report.per_qubit for report in play_many(seq, points)]
-        refs = [oracle.chain_b(n_games, ch, p, eps)
-                for _, eps, p, ch in grid]
-        for mask in masks:
-            for norm in normalizations:
-                scores = _score(per_qubit, plan, PayoffConvention(mask, norm))
-                for (a, _, _, ch), score, ref in zip(grid, scores.tolist(),
-                                                     refs):
-                    cell, row = (a, mask, norm), f"{seq}:{ch}"
-                    r = abs(score - ref)
-                    if r > table[cell].get(row, 0.0):
-                        table[cell][row] = r
-    return table
-
-
-def _cell_name(cell: tuple[str, str, str]) -> str:
-    assignment, mask, norm = cell
-    return f"{assignment}/{mask}-{norm.replace('_', '')}"
-
-
-def calibrate_convention() -> PayoffConvention:
-    """Search mask x {total, per_game} for a convention that reproduces the
-    chain reference values (printed probability order).
-
-    Raises CalibrationError with the full residual table when none matches —
-    which is the actual outcome here; see discover_convention for the
-    extended search that does succeed.
-    """
-    table = _chain_residuals(("printed",), MASKS, ("total", "per_game"))
-    named = {_cell_name(c): rows for c, rows in table.items()}
-    for cell, rows in table.items():
-        ok = all(
-            r <= _CAL_TOL[len(row.split(":")[0])]
-            for row, r in rows.items()
-        )
-        if ok:
-            return PayoffConvention(cell[1], cell[2])
-    raise CalibrationError(
-        "no candidate convention reproduces the chain reference values; "
-        "best residuals per candidate: "
-        + ", ".join(f"{name}={max(rows.values()):.3g}"
-                    for name, rows in sorted(named.items())),
-        named,
-    )
-
-
-#: Rows used to anchor the extended search. The dp rows are excluded (the
-#: reference dp rows assume a different channel scaling; verify classifies
-#: this) and chain_b3's ad row is excluded (truncated printed cubic).
-_ANCHOR_ROWS = ("B:ad", "B:pd", "BB:ad", "BB:pd", "BBB:pd")
-
-
-def discover_convention() -> ConventionFinding:
-    """Extended search: probability-list order x mask x normalization.
-
-    Anchors on the amplitude-damping and phase-damping chain rows, which pin
-    a unique candidate: canonical order, all qubits, per-qubit normalization.
-    """
-    table = _chain_residuals(("printed", "canonical"), MASKS, NORMALIZATIONS)
-    named = {_cell_name(c): rows for c, rows in table.items()}
-    winners = []
-    for cell, rows in table.items():
-        ok = all(
-            rows[row] <= _CAL_TOL[len(row.split(":")[0])]
-            for row in _ANCHOR_ROWS
-        )
-        if ok:
-            winners.append(cell)
-    if len(winners) != 1:
-        raise CalibrationError(
-            f"extended search found {len(winners)} matching conventions "
-            "(expected exactly 1)", named)
-    assignment, mask, norm = winners[0]
-    return ConventionFinding(
-        PayoffConvention(mask, norm), assignment, named, _ANCHOR_ROWS)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coins import (MAX_DIM, GameConfig, SequencePlan, SizeLimitError,
+from .coins import (MAX_QUBITS, GameConfig, SequencePlan, SizeLimitError,
                     make_coin_a, make_coin_b)
 from .engine import DEFAULT_CONVENTION, PayoffConvention, PayoffReport, _score
 from .noise import NoiseSpec, channel_corners, kraus_single
@@ -30,9 +30,9 @@ def make_initial_state(n_qubits: int) -> np.ndarray:
     """GHZ density matrix: 1/2 at the four corners, 0 elsewhere."""
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
-    dim = 2 ** n_qubits
-    if dim > MAX_DIM:
+    if n_qubits > MAX_QUBITS:
         raise SizeLimitError(f"register of {n_qubits} qubits exceeds limit")
+    dim = 2 ** n_qubits
     rho = np.zeros((dim, dim), dtype=np.complex128)
     for i in (0, dim - 1):
         for j in (0, dim - 1):
@@ -92,7 +92,7 @@ def _on_axes(op: np.ndarray, tensor: np.ndarray, first: int) -> np.ndarray:
 def build_unitary(plan: SequencePlan, cfg: GameConfig) -> np.ndarray:
     """Compile a plan to one register unitary (earliest game applied first)."""
     n = plan.total_qubits
-    if 2 ** n > MAX_DIM // 2:
+    if n > MAX_QUBITS:
         raise SizeLimitError(f"register of {n} qubits exceeds limit")
     coins = {"A": make_coin_a(cfg.coin_a), "B": make_coin_b(cfg.coin_b)}
     u = np.eye(2 ** n, dtype=np.complex128)

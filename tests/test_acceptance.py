@@ -25,11 +25,12 @@ import pytest
 
 from parrondoq import oracle
 from parrondoq.coins import SizeLimitError, calibrate_classical
-from parrondoq.engine import (CalibrationError, PayoffConvention,
-                              calibrate_convention, discover_convention, play)
+from parrondoq.engine import PayoffConvention, play
 from parrondoq.figures import FIGURES, figure_csv, figure_rows, sweep_rows
 from parrondoq.noise import NoiseSpec
 from parrondoq.reference import MAX_ENUMERATED_QUBITS, lift_enumerated
+from parrondoq.verify import (CalibrationError, calibrate_convention,
+                              discover_convention)
 
 PI = math.pi
 

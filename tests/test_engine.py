@@ -1,18 +1,24 @@
+import ast
 import math
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from parrondoq.coins import (CoinParams, GameConfig, SizeLimitError,
+from parrondoq import engine
+from parrondoq.coins import (MAX_QUBITS, CoinParams, GameConfig,
+                             SequencePlan, SizeLimitError,
                              calibrate_classical, max_payoff_phases,
                              parse_sequence)
-from parrondoq.engine import (CONVENTION_NAMES, CalibrationError,
-                              PayoffConvention, PayoffReport, _score,
-                              calibrate_convention, discover_convention, play,
-                              play_arrays, play_many)
+from parrondoq.engine import (CONVENTION_NAMES, PayoffConvention,
+                              PayoffReport, _score, play, play_arrays,
+                              play_many)
 from parrondoq.noise import KINDS, NoiseSpec, corner_stack
 from parrondoq.reference import (apply_channel, build_unitary, evolve,
                                  make_initial_state, payoff_report)
+from parrondoq.verify import (CalibrationError, calibrate_convention,
+                              discover_convention)
 
 PI = math.pi
 PER_QUBIT = PayoffConvention("all", "per_qubit")
@@ -47,6 +53,22 @@ def test_initial_state_limits():
         make_initial_state(0)
     with pytest.raises(SizeLimitError):
         make_initial_state(13)
+
+
+def test_dense_reference_stops_at_max_qubits_before_allocating():
+    """Both dense builders refuse a register above ``MAX_QUBITS``: twelve
+    qubits would be a 4096 x 4096 complex matrix (256 MB)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="register of 12 qubits"):
+            make_initial_state(MAX_QUBITS + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    plan = SequencePlan(games=(), seed_count=0, total_qubits=MAX_QUBITS + 1)
+    with pytest.raises(SizeLimitError, match="register of 12 qubits"):
+        build_unitary(plan, fig1_config())
 
 
 def test_evolve_shape_check():
@@ -383,3 +405,22 @@ def test_discover_convention_pins_unique_cell():
     assert winner["BBB:pd"] < 5e-3
     # and the direct-space cells all miss
     assert finding.residuals["printed/all-total"]["B:pd"] > 1e-3
+
+
+def test_engine_is_simulation_only():
+    """The engine compares no payoff with a closed form: it imports neither
+    ``oracle`` nor ``verify``, and the convention searches live in
+    ``verify``."""
+    tree = ast.parse(pathlib.Path(engine.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"oracle", "verify"}
+    for name in ("calibrate_convention", "discover_convention",
+                 "CalibrationError", "ConventionFinding"):
+        assert not hasattr(engine, name), name

@@ -1,8 +1,6 @@
-import time
-
 import pytest
 
-from parrondoq import engine, verify
+from parrondoq import cli, engine, verify
 
 # Each check's id, status and tolerance are pinned by the registry table in
 # test_acceptance.py; the ``registry`` fixture (conftest.py) is the one run
@@ -82,13 +80,31 @@ def test_run_all_batches_every_grid(monkeypatch):
     assert calls["sweep"] <= 50
 
 
-def test_run_all_records_each_check_time():
-    start = time.perf_counter()
-    results = verify.run_all()
-    wall = time.perf_counter() - start
+def test_run_all_records_each_check_time(timed_registry):
+    results, wall = timed_registry
     assert all(r.elapsed > 0 for r in results)
     assert sum(r.elapsed for r in results) <= wall
     timed = results[0]             # elapsed takes no part in ==
     assert timed == verify.CheckResult(timed.check_id, timed.status,
                                        timed.residual, timed.tolerance,
                                        timed.detail)
+
+
+def test_failed_extended_search_is_a_fail_result(monkeypatch, capsys):
+    """When the extended search does not pin exactly one convention, its
+    check reports ``FAIL`` with the search's message, and the rest of the
+    report survives: ``verify`` exits 1, not 4."""
+    monkeypatch.setattr(verify, "_ANCHOR_ROWS", ("B:dp",))
+    monkeypatch.setattr(verify, "CHECKS", (verify.check_kraus_completeness,
+                                           verify.check_convention_discovery))
+    kraus, discovery = verify.run_all()
+    assert kraus.status == "pass"
+    assert discovery.check_id == "convention_discovery"
+    assert discovery.status == "FAIL"
+    assert discovery.detail == ("extended search found 0 matching "
+                                "conventions (expected exactly 1)")
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("convention_discovery")
+    assert "FAIL" in lines[1]
+    assert lines[-1] == "verify: 2 checks, 1 pass, 0 classified, 1 fail"
