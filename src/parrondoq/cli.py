@@ -27,6 +27,9 @@ from .noise import KINDS
 from .verify import (CalibrationError, discover_convention, format_report,
                      run_all)
 
+#: What ``--convention`` and a config file's ``convention`` key accept.
+_CONVENTIONS = sorted(CONVENTION_NAMES) + ["auto"]
+
 #: An unsigned plain float: "5", "5.", ".5", "2.5", "1e-3", "2.5E-1".
 _FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?"
 _NUMBER = re.compile(
@@ -94,7 +97,7 @@ def _add_game_flags(sub: argparse.ArgumentParser, sweepable: bool) -> None:
                      help="assign the four winning probabilities in "
                           "reversed list order")
     sub.add_argument("--convention",
-                     choices=sorted(CONVENTION_NAMES) + ["auto"],
+                     choices=_CONVENTIONS,
                      help="payoff counting convention (auto = run the "
                           "convention search)")
     sub.add_argument("--channel", action="append", choices=KINDS,
@@ -150,6 +153,9 @@ def _load_config(path: str) -> dict:
         for key in ("seq", "convention"):
             if key in game:
                 flat[key] = game[key]
+        if flat.get("convention", "auto") not in _CONVENTIONS:
+            raise ValueError(f"invalid convention {flat['convention']!r} "
+                             f"(choose from {', '.join(_CONVENTIONS)})")
         for key in ("eps",) + _ANGLE_KEYS:
             if key in game:
                 flat[key] = parse_angle(game[key])

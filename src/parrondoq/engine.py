@@ -55,15 +55,10 @@ class PayoffConvention:
 
 DEFAULT_CONVENTION = PayoffConvention("all", "total")
 
-#: CLI/config names for explicit conventions.
-CONVENTION_NAMES = {
-    "all-total": PayoffConvention("all", "total"),
-    "all-pergame": PayoffConvention("all", "per_game"),
-    "all-perqubit": PayoffConvention("all", "per_qubit"),
-    "results-total": PayoffConvention("results", "total"),
-    "results-pergame": PayoffConvention("results", "per_game"),
-    "results-perqubit": PayoffConvention("results", "per_qubit"),
-}
+#: CLI/config names for explicit conventions, mask-major.
+CONVENTION_NAMES = {c.name: c for c in (PayoffConvention(mask, norm)
+                                        for mask in MASKS
+                                        for norm in NORMALIZATIONS)}
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,6 @@ import math
 
 from .coins import GameConfig
 
-CHANNELS = ("ad", "dp", "pd", "none")
-
 
 def _phase_terms(delta, phis, betas):
     """cos(2*delta + beta_i) and sin(2*phi_i) for the four B-coin branches."""

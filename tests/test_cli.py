@@ -293,6 +293,7 @@ MALFORMED_CONFIGS = {
     "bad-grid": "[game]\nseq = B\n[sweep]\ngrid = 0:1\n",
     "no-section-header": "[game\nseq = B\n",
     "bad-boolean": "[game]\nseq = B\ncanonical = maybe\n",
+    "bad-convention": "[game]\nseq = B\nconvention = bogus\n",
 }
 
 

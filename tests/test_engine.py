@@ -17,8 +17,6 @@ from parrondoq.engine import (CONVENTION_NAMES, PayoffConvention,
 from parrondoq.noise import KINDS, NoiseSpec, corner_stack
 from parrondoq.reference import (apply_channel, build_unitary, evolve,
                                  make_initial_state, payoff_report)
-from parrondoq.verify import (CalibrationError, calibrate_convention,
-                              discover_convention)
 
 PI = math.pi
 PER_QUBIT = PayoffConvention("all", "per_qubit")
@@ -379,32 +377,6 @@ def test_play_many_edge_cases():
     assert play_many("AAB", [(cfg, noise)]) == [play("AAB", cfg, noise)]
     with pytest.raises(SizeLimitError):
         play_many("B^12", [(cfg, noise)])
-
-
-# --- convention search -----------------------------------------------------
-
-def test_calibrate_convention_reports_failure_with_table():
-    with pytest.raises(CalibrationError) as err:
-        calibrate_convention()
-    table = err.value.residuals
-    assert len(table) == 4            # the direct candidate space
-    for cell, rows in table.items():
-        assert set(rows) == {"B:ad", "B:dp", "B:pd", "BB:ad", "BB:dp",
-                             "BB:pd", "BBB:ad", "BBB:dp", "BBB:pd"}, cell
-        assert min(rows.values()) > 1e-6, cell    # every row misses
-
-
-def test_discover_convention_pins_unique_cell():
-    finding = discover_convention()
-    assert finding.assignment == "canonical"
-    assert finding.convention == PER_QUBIT
-    winner = finding.residuals["canonical/all-perqubit"]
-    assert winner["B:ad"] < 1e-9
-    assert winner["B:pd"] < 1e-9
-    assert winner["BB:ad"] < 1e-9
-    assert winner["BBB:pd"] < 5e-3
-    # and the direct-space cells all miss
-    assert finding.residuals["printed/all-total"]["B:pd"] > 1e-3
 
 
 def test_engine_is_simulation_only():

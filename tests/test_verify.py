@@ -1,6 +1,11 @@
+import math
+
 import pytest
 
 from parrondoq import cli, engine, verify
+from parrondoq.coins import calibrate_classical
+from parrondoq.engine import PayoffConvention
+from parrondoq.noise import NoiseSpec
 
 # Each check's id, status and tolerance are pinned by the registry table in
 # test_acceptance.py; the ``registry`` fixture (conftest.py) is the one run
@@ -108,3 +113,63 @@ def test_failed_extended_search_is_a_fail_result(monkeypatch, capsys):
     assert lines[1].startswith("convention_discovery")
     assert "FAIL" in lines[1]
     assert lines[-1] == "verify: 2 checks, 1 pass, 0 classified, 1 fail"
+
+
+def test_direct_convention_search_fails_with_full_residual_table():
+    """No direct counting convention reproduces the chain references; the
+    search says so with a residual for every cell and reference row."""
+    with pytest.raises(verify.CalibrationError) as exc:
+        verify.calibrate_convention()
+    table = exc.value.residuals
+    assert len(table) == 4            # the direct candidate space
+    for cell, rows in table.items():
+        assert set(rows) == {"B:ad", "B:dp", "B:pd", "BB:ad", "BB:dp",
+                             "BB:pd", "BBB:ad", "BBB:dp", "BBB:pd"}, cell
+        assert min(rows.values()) > 1e-6, cell    # every row misses
+
+
+def test_extended_search_pins_unique_convention():
+    finding = verify.discover_convention()
+    assert finding.assignment == "canonical"
+    assert finding.convention == PayoffConvention("all", "per_qubit")
+    winner = finding.residuals["canonical/all-perqubit"]
+    for row in ("B:ad", "B:pd", "BB:ad", "BB:pd"):
+        assert winner[row] < 1e-9, row
+    assert winner["BBB:pd"] < 5e-3
+    # and the direct-space cells all miss
+    assert finding.residuals["printed/all-total"]["B:pd"] > 1e-3
+
+
+def test_printed_form_rule_branches():
+    """The shared rule classifies only when the model form fits every point
+    and the printed form misses every sequence; otherwise the model form
+    passes or fails. At delta = pi/2 an A chain's per-qubit payoff under
+    amplitude damping is exactly -2*eps*p."""
+    cfg = calibrate_classical(1 / 168, delta=math.pi / 2,
+                              assignment="canonical")
+    points = [(cfg, NoiseSpec("ad", p)) for p in (0.25, 1.0)]
+
+    def form(offset):
+        return lambda seq, cfg, noise: (-2 * cfg.epsilon * noise.p
+                                        + offset(seq))
+
+    def rule(printed, model):
+        return verify._classify_printed_form(
+            "x", "tag", ("A", "AA"), points, printed, model, 1e-10,
+            "printed off by {miss:.3g}", verify._PER_QUBIT)
+
+    exact = form(lambda seq: 0.0)
+    classified = rule(form(lambda seq: 0.01), exact)
+    assert classified.status == "classified:tag"
+    assert classified.residual <= 1e-10
+    assert classified.detail == "printed off by 0.01"
+
+    failed = rule(form(lambda seq: 0.01), form(lambda seq: 1e-6))
+    assert failed.status == "FAIL"
+    assert failed.residual == pytest.approx(1e-6)
+
+    near = rule(form(lambda seq: 0.0 if seq == "A" else 0.01), exact)
+    assert near.status == "pass"
+    miss_a, miss_aa = near.detail.removeprefix(
+        "printed form off by ").split(", ")
+    assert float(miss_a) <= 1e-10 and miss_aa == "0.01"
