@@ -5,10 +5,10 @@ The gate is the registry table plus what the registry cannot express.
 tolerance and, where a release requirement sets one, a bound on its wall
 time. So a new, dropped or reclassified check, a loosened tolerance or a
 failing comparison fails here, and each cross-check is computed once, by
-the registry. The tests below it pin what the registry does not check: the
-enumerated route's cap, an eleven-qubit play's time budget, the presets'
-determinism, and the cause of the figure 2 symmetry finding. Both
-convention searches' findings are pinned in full in ``test_verify.py``.
+the registry. The tests below it pin what the registry does not check:
+both convention searches' findings in full, the enumerated route's cap,
+an eleven-qubit play's time budget, the presets' determinism, and the
+cause of the figure 2 symmetry finding.
 
 ``test_figure2_pd_curve_mirror_symmetry`` checks the mirror symmetry that
 the phase-damping curve of figure preset 2 has. The AAB payoff depends on
@@ -25,10 +25,12 @@ import pytest
 
 from parrondoq import oracle
 from parrondoq.coins import SizeLimitError, calibrate_classical
-from parrondoq.engine import play
+from parrondoq.engine import PayoffConvention, play
 from parrondoq.figures import FIGURES, figure_csv, figure_rows, sweep_rows
 from parrondoq.noise import NoiseSpec
 from parrondoq.reference import MAX_ENUMERATED_QUBITS, lift_enumerated
+from parrondoq.verify import (CalibrationError, calibrate_convention,
+                              discover_convention)
 
 PI = math.pi
 
@@ -83,6 +85,31 @@ def test_registry_entry(registry, check_id):
     assert (result.status, result.tolerance) == (status, tolerance), result
     if seconds is not None:
         assert result.elapsed < seconds, result
+
+
+def test_direct_convention_search_fails_with_full_residual_table():
+    """No direct counting convention reproduces the chain references; the
+    search says so with a residual for every cell and reference row."""
+    with pytest.raises(CalibrationError) as exc:
+        calibrate_convention()
+    table = exc.value.residuals
+    assert len(table) == 4            # the direct candidate space
+    for cell, rows in table.items():
+        assert set(rows) == {"B:ad", "B:dp", "B:pd", "BB:ad", "BB:dp",
+                             "BB:pd", "BBB:ad", "BBB:dp", "BBB:pd"}, cell
+        assert min(rows.values()) > 1e-6, cell    # every row misses
+
+
+def test_extended_search_pins_unique_convention():
+    finding = discover_convention()
+    assert finding.assignment == "canonical"
+    assert finding.convention == PayoffConvention("all", "per_qubit")
+    winner = finding.residuals["canonical/all-perqubit"]
+    for row in ("B:ad", "B:pd", "BB:ad", "BB:pd"):
+        assert winner[row] < 1e-9, row
+    assert winner["BBB:pd"] < 5e-3
+    # and the direct-space cells all miss
+    assert finding.residuals["printed/all-total"]["B:pd"] > 1e-3
 
 
 def test_enumerated_channel_path_is_capped():

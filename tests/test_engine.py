@@ -17,6 +17,8 @@ from parrondoq.engine import (CONVENTION_NAMES, PayoffConvention,
 from parrondoq.noise import KINDS, NoiseSpec, corner_stack
 from parrondoq.reference import (apply_channel, build_unitary, evolve,
                                  make_initial_state, payoff_report)
+from parrondoq.verify import (CalibrationError, calibrate_convention,
+                              discover_convention)
 
 PI = math.pi
 PER_QUBIT = PayoffConvention("all", "per_qubit")
@@ -377,6 +379,36 @@ def test_play_many_edge_cases():
     assert play_many("AAB", [(cfg, noise)]) == [play("AAB", cfg, noise)]
     with pytest.raises(SizeLimitError):
         play_many("B^12", [(cfg, noise)])
+
+
+# --- convention search -----------------------------------------------------
+# What the searches find is pinned in test_acceptance.py; these pin which of
+# the engine's conventions they span.
+
+def test_calibrate_convention_reports_failure_with_table():
+    """The direct search spans the printed order and the engine's total and
+    per-game conventions; its error quotes each cell's worst residual."""
+    with pytest.raises(CalibrationError) as err:
+        calibrate_convention()
+    table = err.value.residuals
+    assert set(table) == {f"printed/{name}"
+                          for name, c in CONVENTION_NAMES.items()
+                          if c.normalization != "per_qubit"}
+    for cell, rows in table.items():
+        assert f"{cell}={max(rows.values()):.3g}" in str(err.value), cell
+
+
+def test_discover_convention_pins_unique_cell():
+    """The extended search spans both probability orders and every engine
+    convention; the winner is the one cell that fits all anchor rows."""
+    finding = discover_convention()
+    assert set(finding.residuals) == {f"{order}/{name}"
+                                      for order in ("printed", "canonical")
+                                      for name in CONVENTION_NAMES}
+    fits = [cell for cell, rows in finding.residuals.items()
+            if all(rows[row] <= (5e-3 if row.startswith("BBB") else 1e-6)
+                   for row in finding.anchor_rows)]
+    assert fits == [f"{finding.assignment}/{finding.convention.name}"]
 
 
 def test_engine_is_simulation_only():

@@ -4,7 +4,6 @@ import pytest
 
 from parrondoq import cli, engine, verify
 from parrondoq.coins import calibrate_classical
-from parrondoq.engine import PayoffConvention
 from parrondoq.noise import NoiseSpec
 
 # Each check's id, status and tolerance are pinned by the registry table in
@@ -113,31 +112,6 @@ def test_failed_extended_search_is_a_fail_result(monkeypatch, capsys):
     assert lines[1].startswith("convention_discovery")
     assert "FAIL" in lines[1]
     assert lines[-1] == "verify: 2 checks, 1 pass, 0 classified, 1 fail"
-
-
-def test_direct_convention_search_fails_with_full_residual_table():
-    """No direct counting convention reproduces the chain references; the
-    search says so with a residual for every cell and reference row."""
-    with pytest.raises(verify.CalibrationError) as exc:
-        verify.calibrate_convention()
-    table = exc.value.residuals
-    assert len(table) == 4            # the direct candidate space
-    for cell, rows in table.items():
-        assert set(rows) == {"B:ad", "B:dp", "B:pd", "BB:ad", "BB:dp",
-                             "BB:pd", "BBB:ad", "BBB:dp", "BBB:pd"}, cell
-        assert min(rows.values()) > 1e-6, cell    # every row misses
-
-
-def test_extended_search_pins_unique_convention():
-    finding = verify.discover_convention()
-    assert finding.assignment == "canonical"
-    assert finding.convention == PayoffConvention("all", "per_qubit")
-    winner = finding.residuals["canonical/all-perqubit"]
-    for row in ("B:ad", "B:pd", "BB:ad", "BB:pd"):
-        assert winner[row] < 1e-9, row
-    assert winner["BBB:pd"] < 5e-3
-    # and the direct-space cells all miss
-    assert finding.residuals["printed/all-total"]["B:pd"] > 1e-3
 
 
 def test_printed_form_rule_branches():
