@@ -6,9 +6,14 @@ registry). Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 register size limit, 4 calibration failure.
 
 Angles accept multiples of pi ("pi/5", "2pi/3", "-pi/2") as well as plain
-floats and fractions of them ("0.25", ".5", "1e-3", "1/168"). An INI config
-file can supply any flag's value; explicit flags win, and a malformed file
-is a usage error.
+floats and fractions of them ("0.25", ".5", "1e-3", "1/168").
+
+``--config FILE`` reads an INI file whose ``[game]``, ``[noise]`` and
+``[sweep]`` keys are the flags' dests (``max_phases = true``), each read
+through its flag's own type and choices as declared once in ``_KNOBS``: a
+repeatable flag takes a comma-separated list, a switch an INI boolean.
+Explicit flags win and undeclared keys are ignored. A file that is not INI,
+or a value its flag refuses, is a usage error naming the file and the key.
 """
 from __future__ import annotations
 
@@ -26,9 +31,6 @@ from .figures import SWEEP_VARS, SweepSetup, rows_to_csv, sweep_rows, figure_csv
 from .noise import KINDS
 from .verify import (CalibrationError, discover_convention, format_report,
                      run_all)
-
-#: What ``--convention`` and a config file's ``convention`` key accept.
-_CONVENTIONS = sorted(CONVENTION_NAMES) + ["auto"]
 
 #: An unsigned plain float: "5", "5.", ".5", "2.5", "1e-3", "2.5E-1".
 _FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?"
@@ -73,40 +75,55 @@ def parse_grid(text: str) -> tuple:
     return start, stop, count
 
 
-_ANGLE_KEYS = ("theta", "gamma", "delta",
-               "phi1", "phi2", "phi3", "phi4",
-               "alpha1", "alpha2", "alpha3", "alpha4",
-               "beta1", "beta2", "beta3", "beta4")
-_BOOL_KEYS = ("canonical", "max_phases", "identity_coins")
+def _parse_coin_angle(text: str) -> float:
+    """``parse_angle`` held to a coin rotation's range [-pi, pi]."""
+    value = parse_angle(text)
+    if not -math.pi <= value <= math.pi:
+        raise argparse.ArgumentTypeError(f"angle {text!r} outside [-pi, pi]")
+    return value
 
 
-def _add_game_flags(sub: argparse.ArgumentParser, sweepable: bool) -> None:
-    sub.add_argument("--seq", help="game sequence, e.g. AAB, B^3, (AAB)^2")
-    sub.add_argument("--eps", type=parse_angle, metavar="E",
-                     help="classical bias offset (e.g. 1/168)")
-    for key in _ANGLE_KEYS:
-        sub.add_argument(f"--{key}", type=parse_angle, metavar="ANGLE")
-    sub.add_argument("--max-phases", action="store_const", const=True,
-                     dest="max_phases",
-                     help="set the four beta phases to the payoff-maximizing "
-                          "choice for delta")
-    sub.add_argument("--identity-coins", action="store_const", const=True,
-                     dest="identity_coins",
-                     help="replace both coins with the identity")
-    sub.add_argument("--canonical", action="store_const", const=True,
-                     help="assign the four winning probabilities in "
-                          "reversed list order")
-    sub.add_argument("--convention",
-                     choices=_CONVENTIONS,
-                     help="payoff counting convention (auto = run the "
-                          "convention search)")
-    sub.add_argument("--channel", action="append", choices=KINDS,
-                     help="noise channel" + (" (repeatable)" if sweepable
-                                             else ""))
-    sub.add_argument("--p", type=parse_angle, metavar="P",
-                     help="decoherence strength in [0, 1]")
-    sub.add_argument("--config", metavar="FILE",
-                     help="INI file supplying any of these values")
+_ANGLE = dict(type=parse_angle, metavar="ANGLE")
+_COIN_ANGLE = dict(type=_parse_coin_angle, metavar="ANGLE")
+_SWITCH = dict(action="store_const", const=True)
+
+#: Every ``payoff``/``sweep`` knob once, in ``--help`` order: (INI section,
+#: dest, ``add_argument`` keywords). The flag is ``--dest`` with "-" for "_";
+#: a config file's ``[section] dest`` goes through the same type and choices.
+_KNOBS = (
+    ("game", "seq", dict(help="game sequence, e.g. AAB, B^3, (AAB)^2")),
+    ("game", "eps", dict(type=parse_angle, metavar="E",
+                         help="classical bias offset (e.g. 1/168)")),
+    ("game", "theta", _COIN_ANGLE),
+    ("game", "gamma", _ANGLE),
+    ("game", "delta", _ANGLE),
+    *(("game", f"phi{i}", _COIN_ANGLE) for i in range(1, 5)),
+    *(("game", f"{name}{i}", _ANGLE) for name in ("alpha", "beta")
+      for i in range(1, 5)),
+    ("game", "max_phases", dict(_SWITCH, help="set the four beta phases to "
+                                "the payoff-maximizing choice for delta")),
+    ("game", "identity_coins", dict(_SWITCH, help="replace both coins with "
+                                    "the identity")),
+    ("game", "canonical", dict(_SWITCH, help="assign the four winning "
+                               "probabilities in reversed list order")),
+    ("game", "convention", dict(choices=sorted(CONVENTION_NAMES) + ["auto"],
+                                help="payoff counting convention (auto = "
+                                     "run the convention search)")),
+    ("noise", "channel", dict(action="append", choices=KINDS,
+                              help="noise channel")),
+    ("noise", "p", dict(type=parse_angle, metavar="P",
+                        help="decoherence strength in [0, 1]")),
+    ("sweep", "var", dict(choices=SWEEP_VARS, help="the swept quantity")),
+    ("sweep", "grid", dict(type=parse_grid, metavar="START:STOP:N")),
+    ("sweep", "out", dict(metavar="FILE",
+                          help="write CSV here instead of stdout")),
+)
+
+
+def _add_flags(sub: argparse.ArgumentParser, sections: tuple) -> dict:
+    """Add the flags of the knobs in ``sections``; returns them by dest."""
+    return {dest: sub.add_argument("--" + dest.replace("_", "-"), **kw)
+            for section, dest, kw in _KNOBS if section in sections}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,15 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_pay = subs.add_parser("payoff", help="payoff of one game sequence")
-    _add_game_flags(p_pay, sweepable=False)
-
     p_sweep = subs.add_parser("sweep", help="payoff over a parameter grid")
-    _add_game_flags(p_sweep, sweepable=True)
-    p_sweep.add_argument("--var", choices=SWEEP_VARS,
-                         help="the swept quantity")
-    p_sweep.add_argument("--grid", type=parse_grid, metavar="START:STOP:N")
-    p_sweep.add_argument("--out", metavar="FILE",
-                         help="write CSV here instead of stdout")
+    for sub in (p_pay, p_sweep):
+        flags = _add_flags(sub, ("game", "noise"))
+        sub.add_argument("--config", metavar="FILE",
+                         help="INI file supplying any of these values")
+    flags["channel"].help += " (repeatable)"        # sweep's, added last
+    _add_flags(p_sweep, ("sweep",))
 
     p_fig = subs.add_parser("figure", help="render a preset sweep as CSV")
     p_fig.add_argument("number", type=int, choices=range(1, 10),
@@ -143,54 +158,40 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _load_config(path: str) -> dict:
-    cp = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
-        cp.read_file(fh)
-    flat: dict = {}
-    if cp.has_section("game"):
-        game = cp["game"]
-        for key in ("seq", "convention"):
-            if key in game:
-                flat[key] = game[key]
-        if flat.get("convention", "auto") not in _CONVENTIONS:
-            raise ValueError(f"invalid convention {flat['convention']!r} "
-                             f"(choose from {', '.join(_CONVENTIONS)})")
-        for key in ("eps",) + _ANGLE_KEYS:
-            if key in game:
-                flat[key] = parse_angle(game[key])
-        for key in _BOOL_KEYS:
-            if key in game:
-                flat[key] = game.getboolean(key)
-    if cp.has_section("noise"):
-        noise = cp["noise"]
-        if "channel" in noise:
-            flat["channel"] = [c.strip() for c in noise["channel"].split(",")]
-        if "p" in noise:
-            flat["p"] = parse_angle(noise["p"])
-    if cp.has_section("sweep"):
-        sweep = cp["sweep"]
-        if "var" in sweep:
-            flat["var"] = sweep["var"]
-        if "grid" in sweep:
-            flat["grid"] = parse_grid(sweep["grid"])
-        if "out" in sweep:
-            flat["out"] = sweep["out"]
-    return flat
+def _config_value(section: configparser.SectionProxy, dest: str, kw: dict):
+    """``section[dest]`` read as its flag reads it: a switch as an INI
+    boolean, a repeatable flag as a comma-separated list."""
+    if kw.get("action") == "store_const":
+        return section.getboolean(dest)
+    append = kw.get("action") == "append"
+    texts = section[dest].split(",") if append else [section[dest]]
+    values = [kw.get("type", str)(text.strip()) for text in texts]
+    for value in values:
+        if value not in kw.get("choices", (value,)):
+            raise ValueError(f"invalid choice: {value!r} (choose from "
+                             f"{', '.join(map(repr, kw['choices']))})")
+    return values if append else values[0]
 
 
 def _merge_config(ns: argparse.Namespace) -> None:
-    """Fill unset flags from the config file; explicit flags win."""
+    """Fill unset flags from the config file; explicit flags win. Every
+    declared key is read, whatever the subcommand; other keys are
+    ignored."""
     if not getattr(ns, "config", None):
         return
+    cp, where = configparser.ConfigParser(), ""
     try:
-        values = _load_config(ns.config)
+        with open(ns.config, encoding="utf-8") as fh:
+            cp.read_file(fh)
+        for section, dest, kw in _KNOBS:
+            if cp.has_option(section, dest):
+                where = f"[{section}] {dest}: "
+                value = _config_value(cp[section], dest, kw)
+                if getattr(ns, dest, False) is None:
+                    setattr(ns, dest, value)
     except (configparser.Error, argparse.ArgumentTypeError,
             ValueError) as err:       # not INI, or a value its flag refuses
-        raise UsageError(f"config file {ns.config}: {err}") from None
-    for key, value in values.items():
-        if hasattr(ns, key) and getattr(ns, key) is None:
-            setattr(ns, key, value)
+        raise UsageError(f"config file {ns.config}: {where}{err}") from None
 
 
 class UsageError(Exception):
@@ -305,13 +306,10 @@ def main(argv=None) -> int:
     try:
         _merge_config(ns)
         return _COMMANDS[ns.command](ns)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ParseError as err:
         print(f"error: invalid sequence: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as err:
+    except (UsageError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SizeLimitError as err:

@@ -212,21 +212,26 @@ def parse_sequence(text: str) -> SequencePlan:
     """Parse a sequence like ``"AAB"``, ``"B^3"`` or ``"(AAB)^2"``.
 
     Grammar: seq := unit+ ; unit := 'A' | 'B' | ('A'|'B'|'('seq')') '^' int.
-    Raises ParseError (with offset) on malformed text and SizeLimitError if
-    the expanded register would exceed MAX_QUBITS.
+    Raises ParseError (with offset) on malformed text, groups nested past
+    the interpreter's recursion limit included, and SizeLimitError if the
+    expanded register would exceed MAX_QUBITS.
     """
-    pos = 0
+    pos, long_exponent = 0, None      # offset of the first exponent >= 1e9
 
     def parse_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
+        nonlocal pos, long_exponent
+        start, value = pos, 0
+        while pos < len(text) and text[pos].isdecimal():
+            # capped: an exponent this large only ever oversizes the
+            # register, and int() refuses strings of over 4300 digits
+            value = min(10 * value + int(text[pos]), 10 ** 9)
             pos += 1
         if pos == start:
             raise ParseError("expected integer after '^'", start)
-        value = int(text[start:pos])
         if value < 1:
             raise ParseError("exponent must be >= 1", start)
+        if value == 10 ** 9 and long_exponent is None:
+            long_exponent = start
         return value
 
     def parse_seq(depth: int) -> tuple:
@@ -270,9 +275,16 @@ def parse_sequence(text: str) -> SequencePlan:
                 parts.append(unit_text)
         return length, first_b, None if parts is None else "".join(parts)
 
-    length, first_b, flat = parse_seq(0)
+    try:
+        length, first_b, flat = parse_seq(0)
+    except RecursionError:
+        raise ParseError("groups nested too deeply",
+                         max(text.rfind("(", 0, pos), 0)) from None
     if not length:
         raise ParseError("empty sequence", 0)
+    if long_exponent is not None:
+        raise SizeLimitError(f"exponent at offset {long_exponent} is too "
+                             f"large, limit is {MAX_QUBITS} qubits")
 
     seeds = 0 if first_b is None else max(0, 2 - first_b)
     total = seeds + length

@@ -121,6 +121,9 @@ def test_usage_exit_codes(capsys):
     assert cli.main(["sweep", "--seq", "AAB"]) == 2        # missing var/grid
     assert cli.main(["nonsense"]) == 2                     # unknown command
     capsys.readouterr()
+    assert cli.main(["payoff", "--seq", "(" * 1000 + "A" + ")" * 1000]) == 2
+    assert "error: invalid sequence: groups nested too deeply" in (
+        capsys.readouterr().err)
 
 
 def test_size_limit_exit_code(capsys):
@@ -130,6 +133,21 @@ def test_size_limit_exit_code(capsys):
     assert cli.main(["sweep", "--seq", "AAB", "--var", "p",
                      "--grid", "0:1:1000000000000"]) == 3
     assert "limit is 1000000" in capsys.readouterr().err
+    assert cli.main(["payoff", "--seq", "A^" + "9" * 5000]) == 3
+    assert capsys.readouterr().err == (
+        "error: exponent at offset 2 is too large, limit is 11 qubits\n")
+
+
+@pytest.mark.parametrize("flag", ["theta", "phi1", "phi4"])
+def test_coin_override_out_of_range_names_its_flag(tmp_path, capsys, flag):
+    assert cli.main(["payoff", "--seq", "B", f"--{flag}", "4"]) == 2
+    assert f"argument --{flag}: angle '4' outside [-pi, pi]" in (
+        capsys.readouterr().err)
+    ini = tmp_path / "coin.ini"
+    ini.write_text(f"[game]\nseq = B\n{flag} = 4\n")
+    assert cli.main(["payoff", "--config", str(ini)]) == 2
+    assert capsys.readouterr().err == (f"error: config file {ini}: [game] "
+                                       f"{flag}: angle '4' outside [-pi, pi]\n")
 
 
 def test_out_of_domain_sweep_exits_before_playing(capsys, monkeypatch):
@@ -294,6 +312,8 @@ MALFORMED_CONFIGS = {
     "no-section-header": "[game\nseq = B\n",
     "bad-boolean": "[game]\nseq = B\ncanonical = maybe\n",
     "bad-convention": "[game]\nseq = B\nconvention = bogus\n",
+    "bad-channel": "[game]\nseq = B\n[noise]\nchannel = bogus\n",
+    "bad-var": "[game]\nseq = B\n[sweep]\nvar = bogus\n",
 }
 
 
@@ -305,6 +325,74 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys, text):
     assert cli.main(["payoff", "--config", str(ini)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config file {ini}: ")
+
+
+@pytest.mark.parametrize("command", ["payoff", "sweep"])
+@pytest.mark.parametrize("section,key", [("game", "convention"),
+                                         ("noise", "channel"),
+                                         ("sweep", "var")])
+def test_config_choice_is_checked_under_every_command(tmp_path, capsys,
+                                                      command, section, key):
+    body = {"game": "seq = AAB\n", "noise": "", "sweep": "grid = 0:1:2\n"}
+    body[section] += f"{key} = bogus\n"
+    ini = tmp_path / "bad.ini"
+    ini.write_text("".join(f"[{name}]\n{text}" for name, text in body.items()))
+    assert cli.main([command, "--config", str(ini)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config file {ini}: [{section}] {key}: invalid choice: "
+        "'bogus' (choose from ")
+
+
+#: A value for every knob, unlike the base runs' own, so that each one
+#: changes what ``payoff`` or ``sweep`` prints. The payoff does not depend
+#: on gamma or the alphas, so those get a value outside [0, 2pi]: the error
+#: it raises shows the key was read.
+KNOB_VALUES = {
+    "seq": "B^2", "eps": "1/112", "theta": "pi/7", "gamma": "7",
+    "delta": "pi/5", "phi1": "pi/7", "phi2": "pi/9", "phi3": "pi/11",
+    "phi4": "pi/13", "alpha1": "7", "alpha2": "7", "alpha3": "7",
+    "alpha4": "7", "beta1": "pi/2", "beta2": "pi/3", "beta3": "pi/4",
+    "beta4": "pi/5", "max_phases": True, "identity_coins": True,
+    "canonical": True, "convention": "all-perqubit", "channel": "dp",
+    "p": "0.5", "var": "delta", "grid": "0:0.5:2", "out": "knob.csv",
+}
+KNOB_BASES = {
+    "payoff": {"seq": "AAB", "eps": "1/168", "delta": "pi/7",
+               "channel": "ad", "p": "0.25"},
+    "sweep": {"seq": "AAB", "eps": "1/168", "channel": "ad", "var": "p",
+              "grid": "0:1:3"},
+}
+
+
+@pytest.mark.parametrize("section,dest",
+                         [(section, dest) for section, dest, _ in cli._KNOBS],
+                         ids=[dest for _, dest, _ in cli._KNOBS])
+def test_config_key_reads_like_its_flag(tmp_path, capsys, monkeypatch,
+                                        section, dest):
+    """Each declared knob set by ``[section] dest`` in an INI file does
+    what its flag does: same exit code, output and CSV file."""
+    monkeypatch.chdir(tmp_path)
+    command = "sweep" if section == "sweep" else "payoff"
+    base = KNOB_BASES[command]
+    rest = {k: v for k, v in base.items() if k != dest}
+    value = KNOB_VALUES[dest]
+
+    def run(knobs, *extra):
+        Path("knob.csv").unlink(missing_ok=True)
+        args = [f"--{k.replace('_', '-')}" + ("" if v is True else f"={v}")
+                for k, v in knobs.items()]
+        rc = cli.main([command, *args, *extra])
+        written = Path("knob.csv")
+        return (rc, *capsys.readouterr(),
+                written.read_text() if written.exists() else None)
+
+    ini = tmp_path / "knob.ini"
+    ini.write_text(f"[{section}]\n{dest} = "
+                   f"{'true' if value is True else value}\n")
+    by_flag = run({**rest, dest: value})
+    assert run(rest, "--config", str(ini)) == by_flag
+    baseline = run(base)
+    assert baseline[0] == 0 and baseline != by_flag
 
 
 def test_missing_config_file(capsys):

@@ -273,6 +273,7 @@ def test_parse_history_always_two_most_recent():
     ("AB)", 2),
     ("()", 0),
     ("A^x", 2),
+    ("A^\u00b2", 2),            # a digit int() refuses: not an exponent
 ])
 def test_parse_errors_carry_offsets(text, offset):
     with pytest.raises(ParseError) as err:
@@ -307,6 +308,26 @@ def test_parse_error_beats_size_limit():
     with pytest.raises(ParseError) as err:
         parse_sequence("(A^100)^100X")
     assert err.value.offset == 11
+
+
+def test_parse_deep_nesting_is_a_parse_error():
+    # past the recursion limit, not a RecursionError
+    text = "(" * 1000 + "A" + ")" * 1000
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        parse_sequence(text)
+    assert text[err.value.offset] == "("
+    assert parse_sequence("(" * 100 + "A" + ")" * 100).total_qubits == 1
+
+
+def test_parse_overlong_exponent_is_a_size_limit():
+    # longer than int() converts (4300 digits), so never converted whole
+    with pytest.raises(SizeLimitError,
+                       match="exponent at offset 2 is too large"):
+        parse_sequence("A^" + "9" * 5000)
+    with pytest.raises(ParseError) as err:
+        parse_sequence("A^" + "9" * 5000 + "X")
+    assert err.value.offset == 5002
+    assert parse_sequence("A^" + "0" * 5000 + "5").total_qubits == 5
 
 
 # --- compiled unitaries ---------------------------------------------------
