@@ -268,9 +268,12 @@ def cmd_sweep(ns) -> int:
         raise UsageError("sweep requires --seq")
     if not ns.var or not ns.grid:
         raise UsageError("sweep requires --var and --grid")
+    # an angle of 0 is an override too; a config's identity_coins = false
+    # is not
     fixed = [k for k in ("theta", "phi1", "phi2", "phi3", "phi4",
                          "identity_coins")
-             if getattr(ns, k, None)]
+             if getattr(ns, k, None) is not None
+             and getattr(ns, k) is not False]
     if fixed:
         raise UsageError("sweep recalibrates the coins at each grid point; "
                          f"--{fixed[0].replace('_', '-')} applies to "

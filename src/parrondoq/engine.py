@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import (GameConfig, SequencePlan, block_coins, coin_matrices,
-                    parse_sequence)
+from .coins import GameConfig, SequencePlan, coin_matrices, parse_sequence
 from .noise import NoiseSpec, corner_stack
 
 MASKS = ("all", "results")
@@ -86,55 +85,61 @@ def _score(per_qubit, plan: SequencePlan,
 
 #: Score of a qubit's basis states: -1 for |0> (loss), +1 for |1> (win).
 _SCORE = np.array([-1.0, 1.0])
+#: Carried corners |0><0|, |0><1|, |1><1| and their last-readout weights.
+_CARRIED = [0, 1, 3]
+_WEIGHTS = np.array([1.0, 2.0, 1.0])
+
+
+def _entry_factors(coins: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """c E c'^H for every corner E ``(G, T, 2, 2)`` and every pair of coins
+    c, c' of one stack ``(G, C, 2, 2)``: shape ``(G, T, C, 2, C, 2)``."""
+    left = np.einsum("gcik,gtkl->gtcil", coins, corners)
+    return np.einsum("gtcil,gdjl->gtcidj", left, coins.conj())
 
 
 def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
                          coin_b: np.ndarray,
                          corners: np.ndarray) -> np.ndarray:
     """Per-qubit +-1 expectations, shape (G, n), of ``plan`` played at G
-    points: A coins ``(G, 2, 2)``, B coins ``(G, 8, 8)`` and noise corners
-    ``(G, 4, 2, 2)`` (see ``noise.corner_stack``). Coins of leading size 1
-    are the same coins at every point.
+    points: A coins ``(G, 2, 2)``, B's sub-coins ``(G, 4, 2, 2)`` and noise
+    corners ``(G, 4, 2, 2)`` (``noise.corner_stack``); coins of leading size
+    1 are the same at every point.
 
-    The noised state is 1/2 sum_{x,y} (x)_q E(|x><y|): four product
-    operators, one per corner (x, y). The sweep adds qubits left to right,
-    carrying one operator per corner and point on a window of at most three
-    qubits. Each step krons in the new qubit's E(|x><y|) and plays the game
-    that writes that qubit, as gate @ window @ gate^H with gate = I (x) coin.
-    A game touches only its target and the two qubits before it, so once
-    the window holds three qubits its oldest is never touched again: its
-    expectation is read out and it is traced out. This is an exact
-    bond-dimension-2 contraction (Vidal, PRL 91, 147902 (2003)); the cost is
-    linear in the register size, and every step acts on all G points at
-    once.
+    The noised state is 1/2 sum_{x,y} (x)_q E(|x><y|). Channels preserve
+    Hermiticity, so the |1><0| corner stays the adjoint of |0><1|: only
+    |0><0|, |0><1| and |1><1| are carried, and the last readouts count
+    |0><1| twice, real part only. Each qubit enters a window of at most
+    three in a product state, its game's coin picked by the window's bits h
+    (B's sub-coin h, the A coin for every h), so the kron and the game are
+    one product W'[(h, i), (h', j)] = W[h, h'] (c_h E c_h'^H)[i, j] (E for
+    a seed). A game touches only its target and the two qubits before it,
+    so the window's oldest of three is read out and traced out: an exact
+    bond-dimension-2 contraction (Vidal, PRL 91, 147902 (2003)), linear in
+    the register size, on all G points at once.
     """
-    coins = {"A": coin_a, "B": coin_b}
+    corners = corners[:, _CARRIED]
+    coins = {"A": coin_a[:, None], "B": coin_b}
+    factors = {kind: _entry_factors(coins[kind], corners)
+               for kind in {step.kind for step in plan.games}}
+    factors[None] = corners[:, :, None, :, None, :]
     kind_at = {step.target: step.kind for step in plan.games}
     n, count = plan.total_qubits, len(corners)
-    window = np.full((count, 4, 1, 1), 0.5, dtype=np.complex128)
+    window = np.full((count, 3, 1, 1), 0.5, dtype=np.complex128)
     per_qubit = []
 
     def read_out_oldest(window: np.ndarray, last: bool) -> np.ndarray:
         d = window.shape[-1] // 2
-        w = window.reshape(count, 4, 2, d, 2, d)
-        # Tr E(|0><1|) = 0: the x != y corners vanish while a qubit is
-        # still to be added, so they count only once the register is full.
-        terms = w if last else w[:, ::3]
-        per_qubit.append(np.einsum("gtiaia,i->g", terms, _SCORE).real)
-        return np.einsum("gtiaib->gtab", w)
+        w = window.reshape(count, 3, 2, d, 2, d)
+        # Tr E(|0><1|) = 0: |0><1| counts only once the register is full.
+        at = slice(None) if last else slice(None, None, 2)
+        per_qubit.append(np.einsum("gtiaia,i,t->g", w[:, at], _SCORE,
+                                   _WEIGHTS[at]).real)
+        return w[:, :, 0, :, 0] + w[:, :, 1, :, 1]
 
     for q in range(n):
         d = window.shape[-1]
-        window = (window[:, :, :, None, :, None]
-                  * corners[:, :, None, :, None, :]
-                  ).reshape(count, 4, 2 * d, 2 * d)
-        if q in kind_at:
-            coin = coins[kind_at[q]]
-            m = 2 * d // coin.shape[-1]
-            gate = (np.eye(m)[:, None, :, None] * coin[:, None, :, None, :]
-                    ).reshape(len(coin), 1, 2 * d, 2 * d)
-            window = gate @ window      # two steps: two stacks alive, not three
-            window = window @ gate.conj().swapaxes(-1, -2)
+        window = (window[:, :, :, None, :, None] * factors[kind_at.get(q)]
+                  ).reshape(count, 3, 2 * d, 2 * d)
         if d == 4:
             window = read_out_oldest(window, q == n - 1)
     while window.shape[-1] > 1:
@@ -152,8 +157,8 @@ def play_arrays(sequence: str, angles: np.ndarray, corners: np.ndarray,
     ``noise.corner_stack`` gives them."""
     plan = parse_sequence(sequence)
     coins = coin_matrices(*np.moveaxis(angles, -1, 0))
-    expectations = _window_expectations(plan, coins[:, 0],
-                                        block_coins(coins[:, 1:]), corners)
+    expectations = _window_expectations(plan, coins[:, 0], coins[:, 1:],
+                                        corners)
     return _score(expectations, plan, convention), expectations
 
 

@@ -150,6 +150,19 @@ def test_coin_override_out_of_range_names_its_flag(tmp_path, capsys, flag):
                                        f"{flag}: angle '4' outside [-pi, pi]\n")
 
 
+@pytest.mark.parametrize("flag", ["theta", "phi1"])
+def test_sweep_refuses_a_zero_coin_override(capsys, flag):
+    """An override of 0 is refused like any other: the check is for a set
+    flag, not a nonzero one."""
+    base = ["sweep", "--seq", "A", "--var", "p", "--grid", "0:1:2"]
+    assert cli.main(base + [f"--{flag}", "0.1"]) == 2
+    refused = capsys.readouterr()
+    assert cli.main(base + [f"--{flag}", "0"]) == 2
+    assert capsys.readouterr() == refused
+    assert f"--{flag} applies to `payoff` only" in refused.err
+    assert refused.out == ""
+
+
 def test_out_of_domain_sweep_exits_before_playing(capsys, monkeypatch):
     from parrondoq import engine, figures
     calls = []

@@ -9,8 +9,8 @@ import pytest
 from parrondoq import engine
 from parrondoq.coins import (MAX_QUBITS, CoinParams, GameConfig,
                              SequencePlan, SizeLimitError,
-                             calibrate_classical, max_payoff_phases,
-                             parse_sequence)
+                             calibrate_classical, coin_matrices,
+                             max_payoff_phases, parse_sequence)
 from parrondoq.engine import (CONVENTION_NAMES, PayoffConvention,
                               PayoffReport, _score, play, play_arrays,
                               play_many)
@@ -274,11 +274,14 @@ def test_window_sweep_matches_dense_pipeline():
     assert {plan.seed_count for plan in plans} == {0, 1, 2}
     assert max(plan.total_qubits for plan in plans) == 9
     assert {noise.kind for _, _, noise in cases} == set(KINDS)
-    # and the full 11-qubit register
+    # and the full 11-qubit register, B-only and A-only
     rng = np.random.default_rng(11)
     cases.append(("B^9", GameConfig(0.0, random_coin(rng),
                                     tuple(random_coin(rng) for _ in range(4))),
                   NoiseSpec("dp", float(rng.uniform()))))
+    cases.append(("A^11", GameConfig(0.0, random_coin(rng),
+                                     tuple(random_coin(rng) for _ in range(4))),
+                  NoiseSpec("ad", float(rng.uniform()))))
     for sequence, cfg, noise in cases:
         dense = dense_reports(sequence, cfg, noise)
         for name, conv in CONVENTION_NAMES.items():
@@ -290,6 +293,23 @@ def test_window_sweep_matches_dense_pipeline():
             for got, ref in zip(rep.per_qubit, want.per_qubit):
                 assert abs(got - ref) <= 1e-12, where
                 assert -1.0 <= got <= 1.0, where
+
+
+def test_entry_factors_are_coin_sandwiched_corners():
+    """The sweep's fused entry step multiplies by c E c'^H for every pair of
+    coins of one stack; a stack of leading size 1 serves every point, as
+    p-sweeps pass it."""
+    rng = np.random.default_rng(1999)
+    corners = corner_stack(list(rng.choice(KINDS, 6)), rng.uniform(0, 1, 6))
+    for points, size in ((6, 4), (1, 4), (6, 1)):
+        angles = rng.uniform(0.0, 2 * PI, (3, points, size))
+        coins = coin_matrices(*angles)
+        factors = engine._entry_factors(coins, corners)
+        assert factors.shape == (6, 4, size, 2, size, 2)
+        for g, t, c, d in np.ndindex(6, 4, size, size):
+            coin_c, coin_d = coins[g % points, c], coins[g % points, d]
+            want = coin_c @ corners[g, t] @ coin_d.conj().T
+            assert np.abs(factors[g, t, c, :, d] - want).max() <= 1e-15
 
 
 def random_point(rng):

@@ -91,6 +91,17 @@ def test_stacks_equal_one_point_sets_exactly(kind):
         assert np.array_equal(corner, channel_corners(spec))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_corner_one_zero_is_adjoint_of_corner_zero_one(kind):
+    """E(|1><0|) = E(|0><1|)^H exactly: the window sweep carries only the
+    |0><1| corner and counts it for both."""
+    ps = np.concatenate([np.random.default_rng(13).uniform(0.0, 1.0, 50),
+                         [0.0, 1.0]])
+    corners = corner_stack(kind, ps)
+    assert np.array_equal(corners[:, 2],
+                          corners[:, 1].conj().swapaxes(-1, -2))
+
+
 def test_corner_stack_takes_one_kind_per_point():
     kinds = ["ad", "none", "dp", "ad", "pd"]
     ps = [0.3, 0.9, 0.5, 0.7, 0.2]
