@@ -92,9 +92,18 @@ _WEIGHTS = np.array([1.0, 2.0, 1.0])
 
 def _entry_factors(coins: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """c E c'^H for every corner E ``(G, T, 2, 2)`` and every pair of coins
-    c, c' of one stack ``(G, C, 2, 2)``: shape ``(G, T, C, 2, C, 2)``."""
-    left = np.einsum("gcik,gtkl->gtcil", coins, corners)
-    return np.einsum("gtcil,gdjl->gtcidj", left, coins.conj())
+    c, c' of one stack ``(G, C, 2, 2)`` or ``(1, C, 2, 2)``: shape
+    ``(G, T, C, 2, C, 2)``. The coins' outer products
+    O[k, l, (c, i, d, j)] = c[c, i, k] c'[d, j, l]^* are weighted by the
+    corners' entries E[k, l] in one matmul, so a size-1 stack builds its
+    products once and broadcasting serves every point."""
+    count, carried, size = len(corners), corners.shape[1], coins.shape[1]
+    c = coins.transpose(0, 3, 1, 2)
+    outer = (c[:, :, None, :, :, None, None]
+             * c.conj()[:, None, :, None, None, :, :])
+    return (corners.reshape(count, carried, 4)
+            @ outer.reshape(-1, 4, 4 * size * size)
+            ).reshape(count, carried, size, 2, size, 2)
 
 
 def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,

@@ -5,11 +5,12 @@ angle) over a uniform grid, recalibrating the coins at every point, and
 reports one payoff per (grid value, channel) pair. Rows are ordered
 grid-major, channel-minor. ``SweepSetup._knobs`` is the one place that
 turns game knobs into each point's calibration inputs and strength;
-``SweepSetup.block`` builds a block's coin angles and noise corners from
-them as arrays, and ``SweepSetup.point`` builds one point's coin
-configuration and noise spec (the CLI's ``payoff`` is a one-point sweep).
-A sweep with any out-of-domain point is refused when it is set up.
-``sweep_rows`` plays blocks of at most ``SWEEP_BLOCK`` points, each as one
+``SweepSetup.block`` builds a chunk's coin angles once and each channel's
+noise corners from them as arrays, and ``SweepSetup.point`` builds one
+point's coin configuration and noise spec (the CLI's ``payoff`` is a
+one-point sweep). A sweep with any out-of-domain point is refused when it
+is set up. ``sweep_rows`` walks the grid in chunks of at most
+``SWEEP_BLOCK`` values and plays each chunk channel by channel, each as one
 batched window sweep (``engine.play_arrays``).
 Payoffs within 1e-14 of zero print as ``0`` in the CSV. Presets 1-9 pin the
 parameter choices for the standard plots; preset 7 evaluates the
@@ -83,9 +84,9 @@ class SweepSetup:
         """The values ``var`` takes, in order."""
         return np.linspace(self.start, self.stop, self.count)
 
-    def _knobs(self, values, channels):
-        """epsilon, delta, p and the four betas with ``var`` set to
-        ``values``, each a scalar or one value per point; a swept or
+    def _knobs(self, values, channel: str):
+        """epsilon, delta, p and the four betas on ``channel`` with ``var``
+        set to ``values``, each a scalar or one value per point; a swept or
         explicit beta beats ``max_phases``, which beats 0, and the ``none``
         channel ignores p."""
         knobs = {"p": self.p, "eps": self.eps, "delta": self.delta}
@@ -97,19 +98,23 @@ class SweepSetup:
         derived = (max_payoff_phases(knobs["delta"]) if self.max_phases
                    else (0.0, 0.0, 0.0, 0.0))
         betas = tuple(d if b is None else b for b, d in zip(betas, derived))
-        p = np.where(np.asarray(channels) == "none", 0.0, knobs["p"])
+        p = 0.0 if channel == "none" else knobs["p"]
         return knobs["eps"], knobs["delta"], p, betas
 
-    def block(self, values, channels) -> tuple[np.ndarray, np.ndarray]:
-        """Coin angles ``(G, 5, 3)`` and noise corners ``(G, 4, 2, 2)`` of G
-        points, with ``var`` set to ``values[i]`` and the channel to
-        ``channels[i]`` at point i. A p-sweep's points share one angle set,
-        returned once, as ``(1, 5, 3)``."""
-        eps, delta, p, betas = self._knobs(np.asarray(values, dtype=float),
-                                           channels)
+    def block(self, values, channels) -> tuple[np.ndarray, list]:
+        """Coin angles ``(G, 5, 3)`` of G points, with ``var`` set to
+        ``values[i]`` at point i, and per channel of ``channels`` their noise
+        corners ``(G, 4, 2, 2)``. A p-sweep's points share one angle set,
+        returned once, as ``(1, 5, 3)``; any other sweep's points share one
+        strength, whose corners are built once and broadcast."""
+        values = np.asarray(values, dtype=float)
+        knobs = [self._knobs(values, channel) for channel in channels]
+        eps, delta, _, betas = knobs[0]
         angles = coin_angles(eps, self.gamma, delta, self.alphas, betas,
                              self.assignment)
-        return angles, corner_stack(channels, p)
+        return angles, [np.broadcast_to(corner_stack(channel, p),
+                                        (len(values), 4, 2, 2))
+                        for channel, (_, _, p, _) in zip(channels, knobs)]
 
     def point(self, value: float, channel: str) -> tuple[GameConfig, NoiseSpec]:
         """Coin configuration and noise spec of one point, from the same
@@ -128,8 +133,7 @@ class SweepSetup:
         grid = self.grid()
 
         def check(*at: int) -> None:
-            self.block(np.repeat(grid[list(at)], len(self.channels)),
-                       self.channels * len(at))
+            self.block(grid[list(at)], self.channels)
 
         def valid(*at: int) -> bool:
             try:
@@ -148,25 +152,24 @@ class SweepSetup:
         check(bad)
 
 
-#: Most points one batched play takes, so memory stays flat on long grids.
-#: Blocks of 128 to 1024 points measured no faster, and every point holds
-#: two 4 KB window stacks while a game is applied.
+#: Most grid values one batched play takes, so memory stays flat on long
+#: grids.
 SWEEP_BLOCK = 64
 
 
 def sweep_rows(setup: SweepSetup) -> list:
     """Evaluate a sweep; returns (var, value, channel, payoff) tuples."""
-    channels = setup.channels
-    values = np.repeat(setup.grid(), len(channels))
-    kinds = list(channels) * setup.count
-    payoffs = np.empty(len(values))
-    for at in range(0, len(values), SWEEP_BLOCK):
-        block = slice(at, at + SWEEP_BLOCK)
-        angles, corners = setup.block(values[block], kinds[block])
-        payoffs[block] = play_arrays(setup.sequence, angles, corners,
-                                     setup.convention)[0]
-    return list(zip([setup.var] * len(values), values.tolist(), kinds,
-                    payoffs.tolist()))
+    grid, channels = setup.grid(), setup.channels
+    payoffs = np.empty((setup.count, len(channels)))
+    for at in range(0, setup.count, SWEEP_BLOCK):
+        chunk = slice(at, at + SWEEP_BLOCK)
+        angles, corners = setup.block(grid[chunk], channels)
+        for column, stack in enumerate(corners):
+            payoffs[chunk, column] = play_arrays(
+                setup.sequence, angles, stack, setup.convention)[0]
+    values = np.repeat(grid, len(channels)).tolist()
+    return list(zip([setup.var] * len(values), values,
+                    list(channels) * setup.count, payoffs.ravel().tolist()))
 
 
 #: Payoffs smaller than this print as 0: they are rounding noise about an

@@ -312,6 +312,28 @@ def test_entry_factors_are_coin_sandwiched_corners():
             assert np.abs(factors[g, t, c, :, d] - want).max() <= 1e-15
 
 
+@pytest.mark.parametrize("size", [1, 4])
+def test_entry_factors_do_not_depend_on_the_batch(size):
+    """Sweeps must equal point-by-point plays bit for bit, so a factor may
+    not depend on which points share its batch: a size-1 coin stack gives
+    exactly its coin repeated at every point, and a G-point batch exactly
+    its points built one at a time."""
+    rng = np.random.default_rng([2003, size])
+    corners = corner_stack(list(rng.choice(KINDS, 7)),
+                           rng.uniform(0, 1, 7))[:, engine._CARRIED]
+    one = coin_matrices(*rng.uniform(0.0, 2 * PI, (3, 1, size)))
+    shared = engine._entry_factors(one, corners)
+    repeated = engine._entry_factors(np.repeat(one, 7, axis=0), corners)
+    assert np.array_equal(shared, repeated)
+    coins = coin_matrices(*rng.uniform(0.0, 2 * PI, (3, 7, size)))
+    batch = engine._entry_factors(coins, corners)
+    for g in range(7):
+        alone = engine._entry_factors(coins[g:g + 1], corners[g:g + 1])
+        assert np.array_equal(batch[g:g + 1], alone)
+        assert np.array_equal(
+            shared[g:g + 1], engine._entry_factors(one, corners[g:g + 1]))
+
+
 def random_point(rng):
     """A random (config, noise) point: fully random coins, or calibrated
     coins under either probability order, on any channel at random p."""

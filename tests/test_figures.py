@@ -198,18 +198,18 @@ def test_block_is_the_one_point_rule_at_every_point():
     for var in ("delta", "p"):
         setup = random_setup(np.random.default_rng(5), var)
         values = setup.grid()
-        channels = [setup.channels[i % len(setup.channels)]
-                    for i in range(len(values))]
-        angles, corners = setup.block(values, channels)
+        angles, corners = setup.block(values, setup.channels)
         # a p-sweep block holds its one angle set once
         assert len(angles) == (1 if var == "p" else len(values))
-        for value, channel, row, corner in zip(
-                values.tolist(), channels,
-                np.broadcast_to(angles, (len(values), 5, 3)), corners):
-            cfg, spec = setup.point(value, channel)
-            assert row.tolist() == [[c.theta, c.gamma, c.delta]
-                                    for c in (cfg.coin_a, *cfg.coin_b)]
-            assert np.array_equal(corner, channel_corners(spec))
+        assert len(corners) == len(setup.channels)
+        for value, row, *stacks in zip(
+                values.tolist(), np.broadcast_to(angles, (len(values), 5, 3)),
+                *corners):
+            for channel, corner in zip(setup.channels, stacks):
+                cfg, spec = setup.point(value, channel)
+                assert row.tolist() == [[c.theta, c.gamma, c.delta]
+                                        for c in (cfg.coin_a, *cfg.coin_b)]
+                assert np.array_equal(corner, channel_corners(spec))
 
 
 def test_sweep_block_boundaries_do_not_change_rows(monkeypatch):
@@ -220,6 +220,43 @@ def test_sweep_block_boundaries_do_not_change_rows(monkeypatch):
     monkeypatch.setattr(figures, "SWEEP_BLOCK", 7)
     for setup, want in zip(setups, whole):
         assert_rows_match(sweep_rows(setup), want, 0.0)
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_sweep_plays_each_chunk_channel_by_channel(monkeypatch, block):
+    """A chunk of grid values builds its coin angles once and shares them
+    across channels; each channel builds its corners from one kind and
+    plays at most ``SWEEP_BLOCK`` points."""
+    calls = {"angles": [], "kinds": [], "points": []}
+
+    def counted(name, fn, record):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls[name].append(record(args, result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(figures, "SWEEP_BLOCK", block)
+    monkeypatch.setattr(figures, "coin_angles", counted(
+        "angles", figures.coin_angles, lambda args, result: len(result)))
+    monkeypatch.setattr(figures, "corner_stack", counted(
+        "kinds", figures.corner_stack, lambda args, result: args[0]))
+    monkeypatch.setattr(figures, "play_arrays", counted(
+        "points", figures.play_arrays, lambda args, result: len(result[0])))
+    chunks = -(-GRID_POINTS // block)
+    for number, shared_angles in ((2, False), (1, True)):
+        for log in calls.values():
+            log.clear()
+        setup = FIGURES[number]
+        sweep_rows(setup)
+        assert len(calls["angles"]) == chunks
+        if shared_angles:              # a p-sweep: one angle set per chunk
+            assert calls["angles"] == [1] * chunks
+        assert calls["kinds"] == list(setup.channels) * chunks
+        assert all(isinstance(kind, str) for kind in calls["kinds"])
+        assert len(calls["points"]) == len(setup.channels) * chunks
+        assert max(calls["points"]) <= block
+        assert sum(calls["points"]) == GRID_POINTS * len(setup.channels)
 
 
 def test_rows_to_csv_format():
