@@ -16,7 +16,6 @@ to a whole register; the tests and ``verify`` hold the axis-wise
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -209,15 +208,13 @@ def max_payoff_phases(delta: float) -> tuple[float, float, float, float]:
     return (b14, b23, b23, b14)
 
 
-@functools.lru_cache(maxsize=256)
 def parse_sequence(text: str) -> SequencePlan:
     """Parse a sequence like ``"AAB"``, ``"B^3"`` or ``"(AAB)^2"``.
 
     Grammar: seq := unit+ ; unit := 'A' | 'B' | ('A'|'B'|'('seq')') '^' int.
     Raises ParseError (with offset) on malformed text, groups nested past
     the interpreter's recursion limit included, and SizeLimitError if the
-    expanded register would exceed MAX_QUBITS. Plans are cached by text
-    (errors are not) and immutable, so one plan is shared by every caller.
+    expanded register would exceed MAX_QUBITS.
     """
     pos, long_exponent = 0, None      # offset of the first exponent >= 1e9
 

@@ -84,11 +84,11 @@ class SweepSetup:
         """The values ``var`` takes, in order."""
         return np.linspace(self.start, self.stop, self.count)
 
-    def _knobs(self, values, channel: str):
-        """epsilon, delta, p and the four betas on ``channel`` with ``var``
-        set to ``values``, each a scalar or one value per point; a swept or
-        explicit beta beats ``max_phases``, which beats 0, and the ``none``
-        channel ignores p."""
+    def _knobs(self, values, channels):
+        """epsilon, delta, the strength on each of ``channels`` and the four
+        betas with ``var`` set to ``values``, each a scalar or one value per
+        point; a swept or explicit beta beats ``max_phases``, which beats 0,
+        and the ``none`` channel ignores p."""
         knobs = {"p": self.p, "eps": self.eps, "delta": self.delta}
         betas = list(self.betas)
         if self.var.startswith("beta"):
@@ -98,8 +98,8 @@ class SweepSetup:
         derived = (max_payoff_phases(knobs["delta"]) if self.max_phases
                    else (0.0, 0.0, 0.0, 0.0))
         betas = tuple(d if b is None else b for b, d in zip(betas, derived))
-        p = 0.0 if channel == "none" else knobs["p"]
-        return knobs["eps"], knobs["delta"], p, betas
+        strengths = [0.0 if ch == "none" else knobs["p"] for ch in channels]
+        return knobs["eps"], knobs["delta"], strengths, betas
 
     def block(self, values, channels) -> tuple[np.ndarray, list]:
         """Coin angles ``(G, 5, 3)`` of G points, with ``var`` set to
@@ -108,18 +108,17 @@ class SweepSetup:
         returned once, as ``(1, 5, 3)``; any other sweep's points share one
         strength, whose corners are built once and broadcast."""
         values = np.asarray(values, dtype=float)
-        knobs = [self._knobs(values, channel) for channel in channels]
-        eps, delta, _, betas = knobs[0]
+        eps, delta, strengths, betas = self._knobs(values, channels)
         angles = coin_angles(eps, self.gamma, delta, self.alphas, betas,
                              self.assignment)
         return angles, [np.broadcast_to(corner_stack(channel, p),
                                         (len(values), 4, 2, 2))
-                        for channel, (_, _, p, _) in zip(channels, knobs)]
+                        for channel, p in zip(channels, strengths)]
 
     def point(self, value: float, channel: str) -> tuple[GameConfig, NoiseSpec]:
         """Coin configuration and noise spec of one point, from the same
         knob rule as ``block``."""
-        eps, delta, p, betas = self._knobs(value, channel)
+        eps, delta, (p,), betas = self._knobs(value, [channel])
         cfg = calibrate_classical(eps, gamma=self.gamma, delta=delta,
                                   alphas=self.alphas, betas=betas,
                                   assignment=self.assignment)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -329,33 +328,6 @@ def test_parse_overlong_exponent_is_a_size_limit():
         parse_sequence("A^" + "9" * 5000 + "X")
     assert err.value.offset == 5002
     assert parse_sequence("A^" + "0" * 5000 + "5").total_qubits == 5
-
-
-def test_parse_caches_plans_but_not_errors():
-    """Every play re-parses its text, so plans are cached by text; a cached
-    plan is shared, so it must be immutable, and a bounded cache keeps
-    memory flat under many distinct texts."""
-    plan = parse_sequence("(AAB)^2")
-    assert parse_sequence("(AAB)^2") is plan
-    for text, error, offset in (("AXB", ParseError, 1),
-                                ("A^12", SizeLimitError, None),
-                                ("A^" + "9" * 20, SizeLimitError, None)):
-        raised = []
-        for _ in range(3):
-            with pytest.raises(error) as err:
-                parse_sequence(text)
-            raised.append((str(err.value), getattr(err.value, "offset",
-                                                   None)))
-        assert raised == [raised[0]] * 3
-        if offset is not None:
-            assert raised[0][1] == offset
-    assert parse_sequence.cache_info().maxsize is not None
-    for field, value in (("games", ()), ("seed_count", 0),
-                         ("total_qubits", 1)):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(plan, field, value)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        plan.games[0].kind = "B"
 
 
 # --- compiled unitaries ---------------------------------------------------
