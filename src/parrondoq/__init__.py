@@ -7,7 +7,7 @@ damping) acts on the register before play. The package simulates arbitrary
 game sequences, evaluates closed-form reference payoffs, and cross-validates
 the two against each other.
 """
-from .coins import (MAX_DIM, CoinParams, GameConfig, GameStep, ParseError,
+from .coins import (CoinParams, GameConfig, GameStep, ParseError,
                     SequencePlan, SizeLimitError, calibrate_classical,
                     coin_angles, make_coin_a, make_coin_b, max_payoff_phases,
                     parse_sequence)
@@ -36,7 +36,7 @@ __all__ = [
     "make_initial_state", "payoff_report", "play", "play_arrays", "play_many",
     "FIGURES", "SweepSetup", "figure_csv", "figure_rows", "rows_to_csv",
     "sweep_rows",
-    "MAX_DIM", "SizeLimitError",
+    "SizeLimitError",
     "KINDS", "NoiseSpec", "apply_channel", "completeness_defect",
     "corner_stack", "kraus_single", "kraus_stack", "lift_enumerated",
     "CheckResult", "format_report", "run_all",

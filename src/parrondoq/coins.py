@@ -9,8 +9,8 @@ open with B get the missing history prepended as seed qubits.
 ``coin_angles`` is the calibration rule over arrays of knobs, and
 ``coin_matrices`` the coin formula over arrays of angles;
 ``calibrate_classical``, ``make_coin_a`` and ``make_coin_b`` are their
-one-point cases. The register size caps (``MAX_QUBITS``, ``MAX_DIM``,
-``SizeLimitError``) live here. ``embed`` is a coin's literal Kronecker lift
+one-point cases. The one register cap, ``MAX_QUBITS``, and its
+``SizeLimitError`` live here. ``embed`` is a coin's literal Kronecker lift
 to a whole register; the tests and ``verify`` hold the axis-wise
 ``reference.build_unitary`` to products of such lifts.
 """
@@ -23,11 +23,7 @@ import numpy as np
 
 TAU = 2 * math.pi
 
-#: Largest matrix dimension any dense operation may produce (12 qubits).
-MAX_DIM = 2 ** 12
-
-#: Largest register any sequence may use (dimension 2^11; one kron with a
-#: 2x2 factor stays within MAX_DIM).
+#: Largest register any sequence, dense state or lifted operator may use.
 MAX_QUBITS = 11
 
 
@@ -216,43 +212,43 @@ def parse_sequence(text: str) -> SequencePlan:
     the interpreter's recursion limit included, and SizeLimitError if the
     expanded register would exceed MAX_QUBITS.
     """
-    pos, long_exponent = 0, None      # offset of the first exponent >= 1e9
+    # Counts saturate at this bound and expansions keep their first `keep`
+    # games: enough for every plan that fits, so nothing oversized is built.
+    bound, keep = 10 ** 9, MAX_QUBITS + 1
+    pos, long_exponent = 0, None      # offset of the first exponent >= bound
 
     def parse_int() -> int:
         nonlocal pos, long_exponent
         start, value = pos, 0
         while pos < len(text) and text[pos].isdecimal():
-            # capped: an exponent this large only ever oversizes the
-            # register, and int() refuses strings of over 4300 digits
-            value = min(10 * value + int(text[pos]), 10 ** 9)
+            # int() refuses strings of over 4300 digits
+            value = min(10 * value + int(text[pos]), bound)
             pos += 1
         if pos == start:
             raise ParseError("expected integer after '^'", start)
         if value < 1:
             raise ParseError("exponent must be >= 1", start)
-        if value == 10 ** 9 and long_exponent is None:
+        if value == bound and long_exponent is None:
             long_exponent = start
         return value
 
-    def parse_seq(depth: int) -> tuple:
-        """Returns (expanded length, offset of the first B or None, expanded
-        text); the text is None once the length exceeds MAX_QUBITS, so no
-        oversized string is ever built."""
+    def parse_seq(depth: int) -> tuple[int, str]:
+        """Returns (expanded game count, first ``keep`` expanded games)."""
         nonlocal pos
-        length, first_b, parts = 0, None, []
+        count, games = 0, ""
         while pos < len(text):
             ch = text[pos]
             if ch in "AB":
                 pos += 1
-                unit = (1, 0 if ch == "B" else None, ch)
+                size, unit = 1, ch
             elif ch == "(":
                 open_at = pos
                 pos += 1
-                unit = parse_seq(depth + 1)
+                size, unit = parse_seq(depth + 1)
                 if pos >= len(text) or text[pos] != ")":
                     raise ParseError("unclosed '('", open_at)
                 pos += 1
-                if not unit[0]:
+                if not size:
                     raise ParseError("empty group", open_at)
             elif ch == ")":
                 if depth == 0:
@@ -260,56 +256,50 @@ def parse_sequence(text: str) -> SequencePlan:
                 break
             else:
                 raise ParseError(f"unexpected character {ch!r}", pos)
-            size, unit_b, unit_text = unit
             if pos < len(text) and text[pos] == "^":
                 pos += 1
                 times = parse_int()
-                size *= times
-                unit_text = unit_text * times if size <= MAX_QUBITS else None
-            if first_b is None and unit_b is not None:
-                first_b = length + unit_b
-            length += size
-            if length > MAX_QUBITS:
-                parts = None
-            else:
-                parts.append(unit_text)
-        return length, first_b, None if parts is None else "".join(parts)
+                size, unit = size * times, unit * min(times, keep)
+            count, games = min(count + size, bound), (games + unit)[:keep]
+        return count, games
 
     try:
-        length, first_b, flat = parse_seq(0)
+        count, games = parse_seq(0)
     except RecursionError:
         raise ParseError("groups nested too deeply",
                          max(text.rfind("(", 0, pos), 0)) from None
-    if not length:
+    if not count:
         raise ParseError("empty sequence", 0)
     if long_exponent is not None:
         raise SizeLimitError(f"exponent at offset {long_exponent} is too "
                              f"large, limit is {MAX_QUBITS} qubits")
+    if count == bound:
+        raise SizeLimitError(f"sequence needs more than {bound - 1} qubits, "
+                             f"limit is {MAX_QUBITS}")
 
-    seeds = 0 if first_b is None else max(0, 2 - first_b)
-    total = seeds + length
+    seeds = 2 - games[:2].index("B") if "B" in games[:2] else 0
+    total = seeds + count
     if total > MAX_QUBITS:
         raise SizeLimitError(
             f"sequence needs {total} qubits, limit is {MAX_QUBITS}")
 
-    games = []
-    for k, kind in enumerate(flat):
-        target = seeds + k
+    steps = []
+    for target, kind in enumerate(games, seeds):
         history = (target - 2, target - 1) if kind == "B" else None
-        games.append(GameStep(kind, target, history))
-    return SequencePlan(tuple(games), seeds, total)
+        steps.append(GameStep(kind, target, history))
+    return SequencePlan(tuple(steps), seeds, total)
 
 
 def embed(op: np.ndarray, first_qubit: int, n_qubits: int) -> np.ndarray:
     """I (x) op (x) I: ``op`` lifted to an ``n_qubits`` register, acting on a
     contiguous block starting at ``first_qubit`` (qubit 0 = most
-    significant). Raises SizeLimitError above MAX_DIM."""
+    significant). Raises SizeLimitError above MAX_QUBITS."""
     k = int(round(np.log2(op.shape[0])))
     hi = n_qubits - first_qubit - k
     if first_qubit < 0 or hi < 0:
         raise ValueError(f"operator does not fit at qubit {first_qubit}")
-    if 2 ** n_qubits > MAX_DIM:
+    if n_qubits > MAX_QUBITS:
         raise SizeLimitError(
-            f"register dimension {2 ** n_qubits} exceeds limit {MAX_DIM}")
+            f"register of {n_qubits} qubits exceeds limit {MAX_QUBITS}")
     lifted = np.kron(np.eye(2 ** first_qubit, dtype=np.complex128), op)
     return np.kron(lifted, np.eye(2 ** hi))

@@ -176,12 +176,9 @@ def play_many(sequence: str, points,
               ) -> list[PayoffReport]:
     """Payoffs of one sequence string at many ``(GameConfig, NoiseSpec)``
     points, in order: ``play_arrays`` on their angles and corners."""
-    if not points:
-        parse_sequence(sequence)
-        return []
     angles = np.array([[(c.theta, c.gamma, c.delta)
                         for c in (cfg.coin_a, *cfg.coin_b)]
-                       for cfg, _ in points])
+                       for cfg, _ in points]).reshape(-1, 5, 3)
     corners = corner_stack([noise.kind for _, noise in points],
                            [noise.p for _, noise in points])
     payoffs, expectations = play_arrays(sequence, angles, corners, convention)

@@ -18,6 +18,7 @@ repeated-sequence closed forms instead of simulating.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -141,14 +142,11 @@ class SweepSetup:
                 return False
             return True
 
-        good, bad = 0, self.count - 1
-        if valid(good, bad):
+        if valid(0, self.count - 1):
             return
-        check(good)
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            good, bad = (mid, bad) if valid(mid) else (good, mid)
-        check(bad)
+        check(0)
+        check(bisect.bisect(range(self.count), False,
+                            key=lambda at: not valid(at)))
 
 
 #: Most grid values one batched play takes, so memory stays flat on long

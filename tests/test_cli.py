@@ -136,6 +136,10 @@ def test_size_limit_exit_code(capsys):
     assert cli.main(["payoff", "--seq", "A^" + "9" * 5000]) == 3
     assert capsys.readouterr().err == (
         "error: exponent at offset 2 is too large, limit is 11 qubits\n")
+    nest = "(" * 500 + "A" + ")^999999999" * 500
+    assert cli.main(["payoff", "--seq", nest]) == 3
+    assert capsys.readouterr().err == (
+        "error: sequence needs more than 999999999 qubits, limit is 11\n")
 
 
 @pytest.mark.parametrize("flag", ["theta", "phi1", "phi4"])

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -328,6 +329,50 @@ def test_parse_overlong_exponent_is_a_size_limit():
         parse_sequence("A^" + "9" * 5000 + "X")
     assert err.value.offset == 5002
     assert parse_sequence("A^" + "0" * 5000 + "5").total_qubits == 5
+    # a count of 999999999^500, far past what int formats, saturates
+    with pytest.raises(SizeLimitError, match="needs more than 999999999 "
+                                             "qubits, limit is 11"):
+        parse_sequence("(" * 500 + "A" + ")^999999999" * 500)
+
+
+def _random_unit(rng, depth):
+    """A random sequence unit as (text, expansion): an A or B leaf or a
+    group of 1-3 units, nested at most three deep, raised to 1-4."""
+    if depth == 3 or rng.random() < 0.5:
+        text = expansion = rng.choice("AB")
+    else:
+        units = [_random_unit(rng, depth + 1)
+                 for _ in range(rng.randint(1, 3))]
+        text = "(" + "".join(t for t, _ in units) + ")"
+        expansion = "".join(e for _, e in units)
+    times = rng.randint(1, 4)
+    if times > 1 or rng.random() < 0.5:
+        text += f"^{times}"
+    return text, expansion * times
+
+
+def test_parse_matches_expansion_on_random_trees():
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(400):
+        units = [_random_unit(rng, 1) for _ in range(rng.randint(1, 3))]
+        text = "".join(t for t, _ in units)
+        games = "".join(e for _, e in units)
+        first_b = games.find("B")
+        seeds = max(0, 2 - first_b) if first_b >= 0 else 0
+        total = seeds + len(games)
+        seen.add((seeds, total <= coins.MAX_QUBITS))
+        if total > coins.MAX_QUBITS:
+            with pytest.raises(SizeLimitError,
+                               match=f"^sequence needs {total} qubits"):
+                parse_sequence(text)
+            continue
+        plan = parse_sequence(text)
+        assert (plan.seed_count, plan.total_qubits) == (seeds, total), text
+        assert [(g.kind, g.target, g.history) for g in plan.games] == [
+            (kind, t, (t - 2, t - 1) if kind == "B" else None)
+            for t, kind in enumerate(games, seeds)], text
+    assert seen == {(s, fits) for s in (0, 1, 2) for fits in (True, False)}
 
 
 # --- compiled unitaries ---------------------------------------------------
@@ -432,8 +477,8 @@ def test_embed_size_limit(monkeypatch):
     # the real cap is refused before anything is allocated
     with pytest.raises(SizeLimitError):
         embed(np.eye(2), 0, 13)
-    # exactly MAX_DIM is allowed, shown at a small cap
-    monkeypatch.setattr(coins, "MAX_DIM", 2 ** 4)
+    # exactly MAX_QUBITS is allowed, shown at a small cap
+    monkeypatch.setattr(coins, "MAX_QUBITS", 4)
     assert embed(np.eye(2), 0, 4).shape[0] == 2 ** 4
     with pytest.raises(SizeLimitError):
         embed(np.eye(2), 0, 5)
