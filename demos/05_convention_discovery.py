@@ -7,36 +7,36 @@ the number of games, or the register size). The quoted chain values are
 only reproducible under one specific combination — and finding it is a
 search problem this module solves explicitly.
 
-Step 1 tries the four straightforward candidates (printed probability
-order x {all, results} x {total, per-game}). None of them reproduces the
-reference values; the search refuses to pick a winner and instead raises
-an error carrying the full residual table.
+One search plays the B chains once and scores every candidate: both
+probability orders (the printed one and the reversed, "canonical" one) x
+{all, results} x {total, per-game, per-qubit}.
 
-Step 2 widens the space with two extra hypotheses: the four winning
-probabilities assigned in reversed ("canonical") order, and payoffs
-normalized per register qubit. Exactly one cell survives:
+Step 1 reads the four straightforward candidates from that table (printed
+probability order x {all, results} x {total, per-game}). None of them
+reproduces the reference values: every row misses.
+
+Step 2 reads the whole table, which adds the two extra hypotheses: the
+four winning probabilities assigned in canonical order, and payoffs
+normalized per register qubit. Exactly one cell fits the anchor rows:
 canonical order, all qubits, per-qubit normalization.
 """
 from parrondoq.coins import calibrate_classical
-from parrondoq.engine import PayoffConvention, play
-from parrondoq.verify import (CalibrationError, calibrate_convention,
-                              discover_convention)
+from parrondoq.engine import CONVENTION_NAMES, PayoffConvention, play
+from parrondoq.verify import discover_convention
 from parrondoq.noise import NoiseSpec
 
+finding = discover_convention()
+
 print("== Step 1: the direct candidates all miss ==")
-try:
-    calibrate_convention()
-    print("unexpectedly matched!")
-except CalibrationError as err:
-    print(f"{err}\n")
-    print(f"{'candidate':<24} {'best row':>10} {'worst row':>10}")
-    for cell, rows in err.residuals.items():
-        print(f"{cell:<24} {min(rows.values()):>10.3e} "
+print(f"{'candidate':<24} {'best row':>10} {'worst row':>10}")
+for name, convention in CONVENTION_NAMES.items():
+    if convention.normalization != "per_qubit":
+        rows = finding.residuals[f"printed/{name}"]
+        print(f"{'printed/' + name:<24} {min(rows.values()):>10.3e} "
               f"{max(rows.values()):>10.3e}")
 
 print()
 print("== Step 2: widen the space ==")
-finding = discover_convention()
 winner = f"{finding.assignment}/{finding.convention.name}"
 print(f"unique surviving candidate: {winner}")
 print("anchor rows and their residuals there:")

@@ -20,8 +20,7 @@ from .noise import (KINDS, NoiseSpec, completeness_defect, corner_stack,
 from .reference import (apply_channel, build_unitary, evolve, lift_enumerated,
                         make_initial_state, payoff_report)
 from .verify import (CalibrationError, CheckResult, ConventionFinding,
-                     calibrate_convention, discover_convention, format_report,
-                     run_all)
+                     discover_convention, format_report, run_all)
 
 __version__ = "0.1.0"
 
@@ -32,7 +31,7 @@ __all__ = [
     "max_payoff_phases", "parse_sequence",
     "CONVENTION_NAMES", "DEFAULT_CONVENTION", "CalibrationError",
     "ConventionFinding", "PayoffConvention", "PayoffReport",
-    "calibrate_convention", "discover_convention", "evolve",
+    "discover_convention", "evolve",
     "make_initial_state", "payoff_report", "play", "play_arrays", "play_many",
     "FIGURES", "SweepSetup", "figure_csv", "figure_rows", "rows_to_csv",
     "sweep_rows",

@@ -14,7 +14,7 @@ sweeps call it block by block. ``play_many`` is the same for a list of
 (coin configuration, noise) points, as ``verify``'s checks use, and ``play``
 its one-point case. The module is simulation only: it holds no 2^n x 2^n
 matrix (the dense route lives in ``reference``) and no closed form (the
-comparisons, convention searches included, live in ``verify``).
+comparisons, the convention search included, live in ``verify``).
 """
 from __future__ import annotations
 

@@ -18,15 +18,18 @@ with one ``engine.play_many`` call per sequence; only the timing check plays
 a single point. A batch returns exactly the payoffs of the same points
 played one by one, so the residuals do not depend on the batching.
 
-Where a printed form misses the simulation and a model form (a corrected
-coefficient, a remapped strength, another slope) fits it, one rule decides
-(``_classify_printed_form``): ``classified`` when the model form is within
-tolerance at every point and the printed form misses by more than 1e-3 on
-every sequence; otherwise the model form passes or fails.
+One rule holds the simulation to a printed form (``_classify_printed_form``).
+Alone, the printed form passes or fails. Given a model form (a corrected
+coefficient, a remapped strength, another slope), the result is
+``classified`` when the model form is within tolerance at every point and
+the printed form misses by more than 1e-3 on every sequence; otherwise the
+model form passes or fails.
 
-The payoff-convention searches live here too: they compare the B chains
-with their quoted values as the chain checks do, with the same point rule
-(``_chain_points``), eps pair and per-length tolerances.
+The payoff-convention search lives here too: one residual table
+(``_chain_search``) scores every probability order and convention on the B
+chains, with the chain checks' points (``_chain_points``), eps pair and
+per-length tolerances. ``discover_convention`` picks the one cell that fits
+the anchor rows; ``check_convention_search`` finds no direct cell that fits.
 
 ``run_all`` executes the registry and records each check's wall time on its
 result; the CLI renders one line per check and exits nonzero only on hard
@@ -44,8 +47,8 @@ import numpy as np
 from . import oracle
 from .coins import (calibrate_classical, embed, make_coin_a, make_coin_b,
                     max_payoff_phases, parse_sequence, CoinParams)
-from .engine import (DEFAULT_CONVENTION, MASKS, NORMALIZATIONS,
-                     PayoffConvention, _score, play, play_many)
+from .engine import (CONVENTION_NAMES, DEFAULT_CONVENTION, PayoffConvention,
+                     _score, play, play_many)
 from .figures import FIGURES, figure_csv, figure_rows
 from .noise import NoiseSpec, completeness_defect, kraus_single
 from .reference import (apply_channel, build_unitary, lift_enumerated,
@@ -238,32 +241,28 @@ def check_aab_p0_channel_agreement() -> CheckResult:
     return _result("aab_p0_channel_agreement", worst, 1e-12)
 
 
-def check_aab_ad_tracks_reference() -> CheckResult:
-    """Simulated AAB payoff vs the amplitude-damping closed form."""
-    configs = [_fig1_config(), calibrate_classical(
-        1 / 112, delta=_PI / 3, betas=(_PI / 6, _PI, _PI / 5, 2 * _PI / 3))]
-    points = [(cfg, NoiseSpec("ad", p)) for cfg in configs for p in _P11]
-    worst = max(abs(sim - oracle.aab("ad", noise.p, cfg))
-                for (cfg, noise), sim in zip(points, _payoffs("AAB", points)))
-    return _result("aab_ad_tracks_reference", worst, 1e-9)
+def _classify_printed_form(check_id, sequences, points, printed, tolerance,
+                           convention=DEFAULT_CONVENTION, *, model=None,
+                           tag="", explain="") -> CheckResult:
+    """Hold a printed form, ``(sequence, GameConfig, NoiseSpec) -> payoff``,
+    to every sequence played once over ``points``.
 
-
-def _classify_printed_form(check_id, tag, sequences, points, printed, model,
-                           tolerance, explain,
-                           convention=DEFAULT_CONVENTION) -> CheckResult:
-    """Score a printed and a model form, each ``(sequence, GameConfig,
-    NoiseSpec) -> payoff``, on every sequence played once over ``points``.
-    ``classified:<tag>`` when the model form is within ``tolerance`` at every
-    point while the printed form misses by more than 1e-3 on every sequence;
-    the detail is ``explain`` formatted with ``miss``, the printed form's
-    worst miss. Otherwise the model form passes or fails."""
+    With no ``model`` form (same signature), the printed form passes or
+    fails on its worst miss. With one, the result is ``classified:<tag>``
+    when the model form is within ``tolerance`` at every point while the
+    printed form misses by more than 1e-3 on every sequence; the detail is
+    ``explain`` formatted with ``miss``, the printed form's worst miss.
+    Otherwise the model form passes or fails."""
     fit, misses = 0.0, []
     for seq in sequences:
         played = list(zip(points, _payoffs(seq, points, convention)))
         misses.append(max(abs(sim - printed(seq, *point))
                           for point, sim in played))
-        fit = max(fit, *(abs(sim - model(seq, *point))
-                         for point, sim in played))
+        if model is not None:
+            fit = max(fit, *(abs(sim - model(seq, *point))
+                             for point, sim in played))
+    if model is None:
+        return _result(check_id, max(misses), tolerance)
     if fit <= tolerance and min(misses) > 1e-3:
         return _classified(check_id, tag, fit, tolerance,
                            explain.format(miss=max(misses)))
@@ -271,15 +270,25 @@ def _classify_printed_form(check_id, tag, sequences, points, printed, model,
                    + ", ".join(f"{miss:.3g}" for miss in misses))
 
 
+def check_aab_ad_tracks_reference() -> CheckResult:
+    """Simulated AAB payoff vs the amplitude-damping closed form."""
+    configs = [_fig1_config(), calibrate_classical(
+        1 / 112, delta=_PI / 3, betas=(_PI / 6, _PI, _PI / 5, 2 * _PI / 3))]
+    points = [(cfg, NoiseSpec("ad", p)) for cfg in configs for p in _P11]
+    return _classify_printed_form(
+        "aab_ad_tracks_reference", ("AAB",), points,
+        lambda seq, cfg, noise: oracle.aab("ad", noise.p, cfg), 1e-9)
+
+
 def _aab_misprint(check_id, kind, explain) -> CheckResult:
     cfg = _fig1_config()
     points = [(cfg, NoiseSpec(kind, p)) for p in _P11]
     return _classify_printed_form(
-        check_id, "misprint", ("AAB",), points,
-        lambda seq, cfg, noise: oracle.aab(noise.kind, noise.p, cfg),
-        lambda seq, cfg, noise: oracle.aab(noise.kind, noise.p, cfg,
-                                           corrected=True),
-        1e-9, "stock form off by {miss:.3g}; " + explain)
+        check_id, ("AAB",), points,
+        lambda seq, cfg, noise: oracle.aab(kind, noise.p, cfg), 1e-9,
+        tag="misprint", model=lambda seq, cfg, noise: oracle.aab(
+            kind, noise.p, cfg, corrected=True),
+        explain="stock form off by {miss:.3g}; " + explain)
 
 
 def check_aab_dp_coefficients() -> CheckResult:
@@ -295,7 +304,7 @@ def check_aab_pd_coefficients() -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# B chains against their quoted values: the convention searches and checks.
+# B chains against their quoted values: the convention search and checks.
 
 #: The two biases the chain and series values are quoted at.
 _CHAIN_EPS = (1 / 168, 1 / 112)
@@ -324,7 +333,7 @@ def _chain_play(seq, grid) -> list:
 
 
 class CalibrationError(Exception):
-    """No counting convention reproduces the chain reference values.
+    """The convention search does not pin exactly one convention.
 
     ``residuals`` maps candidate name -> {"seq:channel": max residual}.
     """
@@ -343,18 +352,16 @@ class ConventionFinding:
     anchor_rows: tuple[str, ...]   # rows the search matched on
 
 
-def _chain_search(orders, normalizations, rows=None) -> tuple:
-    """The candidates (probability order, convention) within the chain
-    tolerance of each row's length on ``rows``, or on every row, and the
-    residual table: candidate name -> {"seq:channel": max |simulated -
-    reference| over both eps and p in {0, 0.25, 0.5}}.
+def _chain_search() -> dict:
+    """The residual table of every candidate, a probability order and an
+    engine convention: "order/convention" -> {"seq:channel": max |simulated
+    - reference| over both eps and p in {0, 0.25, 0.5}}.
 
-    Each chain sequence is played once, as one batch over every order, eps,
-    strength and channel; every candidate convention scores that batch."""
-    kinds = ("ad", "dp", "pd")
-    conventions = [PayoffConvention(mask, norm) for mask in MASKS
-                   for norm in normalizations]
-    table = {(order, c): {} for order in orders for c in conventions}
+    Each chain sequence is played once, as one batch over both orders, eps,
+    strength and channel; every convention scores that batch."""
+    kinds, orders = ("ad", "dp", "pd"), ("printed", "canonical")
+    table = {f"{order}/{name}": {} for order in orders
+             for name in CONVENTION_NAMES}
     grid = [(kind, p, eps, order) for order in orders for eps in _CHAIN_EPS
             for p in (0.0, 0.25, 0.5) for kind in kinds]
     points = _chain_points(grid)
@@ -364,37 +371,21 @@ def _chain_search(orders, normalizations, rows=None) -> tuple:
         refs = np.array([oracle.chain_b(len(seq), kind, p, eps)
                          for kind, p, eps, _ in grid])
         names = [f"{seq}:{kind}" for kind in kinds]
-        for c in conventions:
+        for name, c in CONVENTION_NAMES.items():
             # grid axes: order, then eps and p, then channel
             worst = np.abs(_score(per_qubit, plan, c) - refs).reshape(
                 len(orders), -1, len(kinds)).max(axis=1)
             for order, residuals in zip(orders, worst.tolist()):
-                table[order, c].update(zip(names, residuals))
-    matches = [cell for cell, residuals in table.items()
-               if all(residuals[row] <= _CHAIN_TOL[len(row.split(":")[0])]
-                      for row in rows or residuals)]
-    return matches, {f"{order}/{c.name}": residuals
-                     for (order, c), residuals in table.items()}
+                table[f"{order}/{name}"].update(zip(names, residuals))
+    return table
 
 
-def calibrate_convention() -> PayoffConvention:
-    """Search mask x {total, per_game} for a convention that reproduces the
-    chain reference values (printed probability order).
-
-    Raises CalibrationError with the full residual table when none matches —
-    which is the actual outcome here; see discover_convention for the
-    extended search that does succeed.
-    """
-    matches, named = _chain_search(("printed",), ("total", "per_game"))
-    if matches:
-        return matches[0][1]
-    raise CalibrationError(
-        "no candidate convention reproduces the chain reference values; "
-        "best residuals per candidate: "
-        + ", ".join(f"{name}={max(rows.values()):.3g}"
-                    for name, rows in sorted(named.items())),
-        named,
-    )
+def _fitting(table, rows=None) -> list:
+    """The cells of ``table`` within the chain tolerance of each row's
+    length on ``rows``, or on every row."""
+    return [cell for cell, residuals in table.items()
+            if all(residuals[row] <= _CHAIN_TOL[len(row.split(":")[0])]
+                   for row in rows or residuals)]
 
 
 #: Rows used to anchor the extended search. The dp rows are excluded (the
@@ -410,29 +401,32 @@ def discover_convention() -> ConventionFinding:
     Anchors on the amplitude-damping and phase-damping chain rows, which pin
     a unique candidate: canonical order, all qubits, per-qubit normalization.
     """
-    matches, named = _chain_search(("printed", "canonical"), NORMALIZATIONS,
-                                   _ANCHOR_ROWS)
+    table = _chain_search()
+    matches = _fitting(table, _ANCHOR_ROWS)
     if len(matches) != 1:
         raise CalibrationError(
             f"extended search found {len(matches)} matching conventions "
-            "(expected exactly 1)", named)
-    (assignment, convention), = matches
-    return ConventionFinding(convention, assignment, named, _ANCHOR_ROWS)
+            "(expected exactly 1)", table)
+    assignment, name = matches[0].split("/")
+    return ConventionFinding(CONVENTION_NAMES[name], assignment, table,
+                             _ANCHOR_ROWS)
 
 
 def check_convention_search() -> CheckResult:
-    """The direct mask x normalization search must come up empty..."""
-    try:
-        convention = calibrate_convention()
-    except CalibrationError as err:
-        best = min(max(rows.values()) for rows in err.residuals.values())
-        return _classified(
-            "convention_search", "no-direct-match", best, _CHAIN_TOL[1],
-            "no candidate over printed-order x mask x {total,per_game} "
-            f"reproduces the chain values (best residual {best:.3g}); "
-            "the extended search below pins the working convention")
-    return CheckResult("convention_search", "FAIL", 0.0, _CHAIN_TOL[1],
-                       f"unexpectedly matched {convention.name}")
+    """The search's direct part, printed order x mask x {total, per_game},
+    must come up empty..."""
+    direct = {cell: rows for cell, rows in _chain_search().items()
+              if cell.startswith("printed/") and not cell.endswith("perqubit")}
+    best = min(max(rows.values()) for rows in direct.values())
+    matches = _fitting(direct)
+    if matches:
+        return CheckResult("convention_search", "FAIL", best, _CHAIN_TOL[1],
+                           f"unexpectedly matched {matches[0]}")
+    return _classified(
+        "convention_search", "no-direct-match", best, _CHAIN_TOL[1],
+        "no candidate over printed-order x mask x {total,per_game} "
+        f"reproduces the chain values (best residual {best:.3g}); "
+        "the extended search below pins the working convention")
 
 
 def check_convention_discovery() -> CheckResult:
@@ -454,15 +448,18 @@ def check_convention_discovery() -> CheckResult:
                    "normalization")
 
 
+def _chain_form(seq, cfg, noise):
+    return oracle.chain_b(len(seq), noise.kind, noise.p, cfg.epsilon)
+
+
 def check_chain_b1_b2_track_reference() -> CheckResult:
     """Single and double B games vs their closed forms (ad and pd)."""
-    grid = [(kind, p, eps) for kind in ("ad", "pd")
-            for eps in _CHAIN_EPS for p in _P11]
-    worst = 0.0
-    for seq, n in (("B", 1), ("BB", 2)):
-        for (kind, p, eps), sim in zip(grid, _chain_play(seq, grid)):
-            worst = max(worst, abs(sim - oracle.chain_b(n, kind, p, eps)))
-    return _result("chain_b1_b2_track_reference", worst, _CHAIN_TOL[1])
+    points = _chain_points([(kind, p, eps, "canonical")
+                            for kind in ("ad", "pd")
+                            for eps in _CHAIN_EPS for p in _P11])
+    return _classify_printed_form("chain_b1_b2_track_reference", ("B", "BB"),
+                                  points, _chain_form, _CHAIN_TOL[1],
+                                  _PER_QUBIT)
 
 
 def check_chain_dp_scaling() -> CheckResult:
@@ -471,21 +468,20 @@ def check_chain_dp_scaling() -> CheckResult:
     points = _chain_points([("dp", p, eps, "canonical")
                             for eps in _CHAIN_EPS for p in _P11])
     return _classify_printed_form(
-        "chain_dp_scaling", "channel-scaling", ("B", "BB"), points,
-        lambda seq, cfg, noise: oracle.chain_b(len(seq), "dp", noise.p,
-                                               cfg.epsilon),
-        lambda seq, cfg, noise: oracle.chain_b(len(seq), "dp", 0.75 * noise.p,
-                                               cfg.epsilon),
-        1e-9, "direct evaluation off by {miss:.3g}; strength remap "
-        "p -> 3p/4 agrees to machine precision", _PER_QUBIT)
+        "chain_dp_scaling", ("B", "BB"), points, _chain_form, 1e-9,
+        _PER_QUBIT, tag="channel-scaling",
+        model=lambda seq, cfg, noise: oracle.chain_b(
+            len(seq), "dp", 0.75 * noise.p, cfg.epsilon),
+        explain="direct evaluation off by {miss:.3g}; strength remap "
+        "p -> 3p/4 agrees to machine precision")
 
 
 def check_chain_b3_pd() -> CheckResult:
     """Triple-B phase-damping form (two-decimal coefficients)."""
-    grid = [("pd", p, eps) for eps in _CHAIN_EPS for p in (0.0, 0.5, 1.0)]
-    worst = max(abs(sim - oracle.chain_b(3, "pd", p, eps))
-                for (_, p, eps), sim in zip(grid, _chain_play("BBB", grid)))
-    return _result("chain_b3_pd", worst, _CHAIN_TOL[3])
+    points = _chain_points([("pd", p, eps, "canonical") for eps in _CHAIN_EPS
+                            for p in (0.0, 0.5, 1.0)])
+    return _classify_printed_form("chain_b3_pd", ("BBB",), points,
+                                  _chain_form, _CHAIN_TOL[3], _PER_QUBIT)
 
 
 def check_chain_b3_ad_truncation() -> CheckResult:
@@ -508,33 +504,35 @@ def check_chain_b3_ad_truncation() -> CheckResult:
 def check_a_series() -> CheckResult:
     """All-A chains at the phase-neutral point delta = pi/2.
 
-    A lone A keeps a coherent term proportional to cos(delta)*sqrt(1-p); at
-    delta = pi/2 it vanishes, isolating the decoherence effect. There the
-    payoff is exactly 0 for depolarizing and phase damping and exactly
-    -2*eps*p for amplitude damping, at every length. The stock slope
-    -(3/32)*eps*p matches at no chain length."""
+    Chains of two or more A games pay exactly 0 per qubit under
+    depolarizing and phase damping and exactly -2*eps*p under amplitude
+    damping, at every delta. Only a lone A keeps a coherent term,
+    proportional to cos(delta)*sqrt(1-p); at delta = pi/2 it vanishes, so
+    there every length pays those values. The stock slope -(3/32)*eps*p
+    matches at no chain length."""
     configs = {eps: calibrate_classical(eps, delta=_PI / 2,
                                         assignment="canonical")
                for eps in _CHAIN_EPS}
     points = [(configs[eps], NoiseSpec(kind, p)) for eps in configs
               for p in (0.0, 0.25, 0.5, 1.0) for kind in ("dp", "pd", "ad")]
     return _classify_printed_form(
-        "a_series", "stock-slope-mismatch", ("A", "AA", "AAA", "AAAA"), points,
+        "a_series", ("A", "AA", "AAA", "AAAA"), points,
         lambda seq, cfg, noise: (oracle.series_a_ad(noise.p, cfg.epsilon)
                                  if noise.kind == "ad" else 0.0),
-        lambda seq, cfg, noise: (-2 * cfg.epsilon * noise.p
-                                 if noise.kind == "ad" else 0.0),
-        1e-10, "simulation gives -2*eps*p at every length; the stock "
-        "-(3/32)*eps*p slope matches at no length in {{1,2,3,4}}", _PER_QUBIT)
+        1e-10, _PER_QUBIT, tag="stock-slope-mismatch",
+        model=lambda seq, cfg, noise: (-2 * cfg.epsilon * noise.p
+                                       if noise.kind == "ad" else 0.0),
+        explain="simulation gives -2*eps*p at every length; the stock "
+        "-(3/32)*eps*p slope matches at no length in {{1,2,3,4}}")
 
 
 def check_series_aab_p0() -> CheckResult:
     """Repeated-AAB series at p=0 equals (2/15)*eps exactly."""
-    grid = [("none", 0.0, eps) for eps in _CHAIN_EPS]
-    sims = _chain_play("(AAB)^2", grid)
-    worst = max(abs(sim - (2 / 15) * eps)
-                for (_, _, eps), sim in zip(grid, sims))
-    return _result("series_aab_p0", worst, 1e-9)
+    points = _chain_points([("none", 0.0, eps, "canonical")
+                            for eps in _CHAIN_EPS])
+    return _classify_printed_form(
+        "series_aab_p0", ("(AAB)^2",), points,
+        lambda seq, cfg, noise: (2 / 15) * cfg.epsilon, 1e-9, _PER_QUBIT)
 
 
 def check_series_aab_tracks_reference() -> CheckResult:

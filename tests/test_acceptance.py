@@ -6,9 +6,9 @@ tolerance and, where a release requirement sets one, a bound on its wall
 time. So a new, dropped or reclassified check, a loosened tolerance or a
 failing comparison fails here, and each cross-check is computed once, by
 the registry. The tests below it pin what the registry does not check:
-both convention searches' findings in full, the enumerated route's cap,
-an eleven-qubit play's time budget, the presets' determinism, and the
-cause of the figure 2 symmetry finding.
+the convention search's direct cells and its finding in full, the
+enumerated route's cap, an eleven-qubit play's time budget, the presets'
+determinism, and the cause of the figure 2 symmetry finding.
 
 ``test_figure2_pd_curve_mirror_symmetry`` checks the mirror symmetry that
 the phase-damping curve of figure preset 2 has. The AAB payoff depends on
@@ -25,12 +25,11 @@ import pytest
 
 from parrondoq import oracle
 from parrondoq.coins import SizeLimitError, calibrate_classical
-from parrondoq.engine import PayoffConvention, play
+from parrondoq.engine import CONVENTION_NAMES, PayoffConvention, play
 from parrondoq.figures import FIGURES, figure_csv, figure_rows, sweep_rows
 from parrondoq.noise import NoiseSpec
 from parrondoq.reference import MAX_ENUMERATED_QUBITS, lift_enumerated
-from parrondoq.verify import (CalibrationError, calibrate_convention,
-                              discover_convention)
+from parrondoq.verify import discover_convention
 
 PI = math.pi
 
@@ -53,7 +52,7 @@ REGISTRY = {
     "aab_ad_tracks_reference": ("pass", 1e-9, 1.0),
     "aab_dp_coefficients": ("classified:misprint", 1e-9, None),
     "aab_pd_coefficients": ("classified:misprint", 1e-9, None),
-    # payoff-convention searches
+    # the payoff-convention search
     "convention_search": ("classified:no-direct-match", 1e-6, None),
     "convention_discovery": ("pass", 1e-6, None),
     # history-dependent B chains and uniform A chains
@@ -88,13 +87,16 @@ def test_registry_entry(registry, check_id):
 
 
 def test_direct_convention_search_fails_with_full_residual_table():
-    """No direct counting convention reproduces the chain references; the
-    search says so with a residual for every cell and reference row."""
-    with pytest.raises(CalibrationError) as exc:
-        calibrate_convention()
-    table = exc.value.residuals
-    assert len(table) == 4            # the direct candidate space
-    for cell, rows in table.items():
+    """No direct counting convention reproduces the chain references: the
+    search's direct cells, printed order x the engine's total and per-game
+    conventions, carry a residual for every reference row, and every row
+    misses."""
+    residuals = discover_convention().residuals
+    direct = [f"printed/{name}" for name, c in CONVENTION_NAMES.items()
+              if c.normalization != "per_qubit"]
+    assert len(direct) == 4           # the direct candidate space
+    for cell in direct:
+        rows = residuals[cell]
         assert set(rows) == {"B:ad", "B:dp", "B:pd", "BB:ad", "BB:dp",
                              "BB:pd", "BBB:ad", "BBB:dp", "BBB:pd"}, cell
         assert min(rows.values()) > 1e-6, cell    # every row misses

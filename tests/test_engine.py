@@ -17,8 +17,7 @@ from parrondoq.engine import (CONVENTION_NAMES, PayoffConvention,
 from parrondoq.noise import KINDS, NoiseSpec, corner_stack
 from parrondoq.reference import (apply_channel, build_unitary, evolve,
                                  make_initial_state, payoff_report)
-from parrondoq.verify import (CalibrationError, calibrate_convention,
-                              discover_convention)
+from parrondoq.verify import discover_convention
 
 PI = math.pi
 PER_QUBIT = PayoffConvention("all", "per_qubit")
@@ -424,21 +423,8 @@ def test_play_many_edge_cases():
 
 
 # --- convention search -----------------------------------------------------
-# What the searches find is pinned in test_acceptance.py; these pin which of
-# the engine's conventions they span.
-
-def test_calibrate_convention_reports_failure_with_table():
-    """The direct search spans the printed order and the engine's total and
-    per-game conventions; its error quotes each cell's worst residual."""
-    with pytest.raises(CalibrationError) as err:
-        calibrate_convention()
-    table = err.value.residuals
-    assert set(table) == {f"printed/{name}"
-                          for name, c in CONVENTION_NAMES.items()
-                          if c.normalization != "per_qubit"}
-    for cell, rows in table.items():
-        assert f"{cell}={max(rows.values()):.3g}" in str(err.value), cell
-
+# What the search finds is pinned in test_acceptance.py; this pins which of
+# the engine's conventions it spans.
 
 def test_discover_convention_pins_unique_cell():
     """The extended search spans both probability orders and every engine
@@ -455,7 +441,7 @@ def test_discover_convention_pins_unique_cell():
 
 def test_engine_is_simulation_only():
     """The engine compares no payoff with a closed form: it imports neither
-    ``oracle`` nor ``verify``, and the convention searches live in
+    ``oracle`` nor ``verify``, and the convention search lives in
     ``verify``."""
     tree = ast.parse(pathlib.Path(engine.__file__).read_text())
     imported = set()
@@ -467,6 +453,23 @@ def test_engine_is_simulation_only():
             imported.add((node.module or "").rsplit(".", 1)[-1])
             imported.update(alias.name for alias in node.names)
     assert not imported & {"oracle", "verify"}
-    for name in ("calibrate_convention", "discover_convention",
-                 "CalibrationError", "ConventionFinding"):
+    for name in ("discover_convention", "CalibrationError",
+                 "ConventionFinding"):
         assert not hasattr(engine, name), name
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.7, PI / 2, 2.5])
+def test_repeated_a_games_feel_only_amplitude_damping(delta):
+    """Chains of two or more A games pay -2*eps*p on every qubit under
+    amplitude damping and 0 under depolarizing and phase damping, at every
+    delta; only a lone A keeps a delta-dependent coherent term."""
+    eps, p = 0.05, 0.4
+    cfg = calibrate_classical(eps, delta=delta, assignment="canonical")
+    for seq in ("AA", "AAA", "AAAA"):
+        for kind, want in (("ad", -2 * eps * p), ("dp", 0.0), ("pd", 0.0)):
+            per_qubit = play(seq, cfg, NoiseSpec(kind, p)).per_qubit
+            assert per_qubit == pytest.approx([want] * len(seq), abs=1e-12), \
+                (seq, kind)
+    lone = {0.0: 0.731, 0.7: 0.550, PI / 2: -0.040, 2.5: -0.658}[delta]
+    assert play("A", cfg, NoiseSpec("ad", p)).payoff == pytest.approx(
+        lone, abs=1e-3)

@@ -64,10 +64,10 @@ def test_format_report(registry):
 
 def test_run_all_batches_every_grid(monkeypatch):
     """Each grid check plays its points as one ``play_many`` per sequence,
-    and the convention searches play one batch per chain sequence. Only
-    ``performance_9q_pipeline`` times a single ``play``. Before the checks
-    were batched, one ``run_all`` made 368 single-point ``play`` calls and
-    402 window sweeps."""
+    and each convention check's search plays one batch per chain sequence.
+    Only ``performance_9q_pipeline`` times a single ``play``. Before the
+    checks were batched, one ``run_all`` made 368 single-point ``play``
+    calls and 402 window sweeps."""
     calls = {"play": 0, "sweep": 0}
 
     def counted(name, fn):
@@ -114,11 +114,22 @@ def test_failed_extended_search_is_a_fail_result(monkeypatch, capsys):
     assert lines[-1] == "verify: 2 checks, 1 pass, 0 classified, 1 fail"
 
 
+def test_extended_search_failure_under_payoff_is_exit_4(monkeypatch, capsys):
+    """``--convention auto`` runs the extended search, and a search that does
+    not pin exactly one convention is exit 4 with the search's message."""
+    monkeypatch.setattr(verify, "_ANCHOR_ROWS", ("B:dp",))
+    assert cli.main(["payoff", "--seq", "B", "--convention", "auto"]) == 4
+    assert capsys.readouterr().err == (
+        "error: extended search found 0 matching conventions "
+        "(expected exactly 1)\n")
+
+
 def test_printed_form_rule_branches():
     """The shared rule classifies only when the model form fits every point
     and the printed form misses every sequence; otherwise the model form
-    passes or fails. At delta = pi/2 an A chain's per-qubit payoff under
-    amplitude damping is exactly -2*eps*p."""
+    passes or fails. With no model form, the printed form passes or fails
+    and is never classified. At delta = pi/2 an A chain's per-qubit payoff
+    under amplitude damping is exactly -2*eps*p."""
     cfg = calibrate_classical(1 / 168, delta=math.pi / 2,
                               assignment="canonical")
     points = [(cfg, NoiseSpec("ad", p)) for p in (0.25, 1.0)]
@@ -127,10 +138,10 @@ def test_printed_form_rule_branches():
         return lambda seq, cfg, noise: (-2 * cfg.epsilon * noise.p
                                         + offset(seq))
 
-    def rule(printed, model):
+    def rule(printed, model=None, tolerance=1e-10):
         return verify._classify_printed_form(
-            "x", "tag", ("A", "AA"), points, printed, model, 1e-10,
-            "printed off by {miss:.3g}", verify._PER_QUBIT)
+            "x", ("A", "AA"), points, printed, tolerance, verify._PER_QUBIT,
+            model=model, tag="tag", explain="printed off by {miss:.3g}")
 
     exact = form(lambda seq: 0.0)
     classified = rule(form(lambda seq: 0.01), exact)
@@ -147,3 +158,16 @@ def test_printed_form_rule_branches():
     miss_a, miss_aa = near.detail.removeprefix(
         "printed form off by ").split(", ")
     assert float(miss_a) <= 1e-10 and miss_aa == "0.01"
+
+    # no model form: the printed form alone passes or fails
+    alone = rule(exact)
+    assert alone.status == "pass" and alone.residual <= 1e-10
+    assert alone.detail == ""
+
+    off = rule(form(lambda seq: 1e-6))
+    assert off.status == "FAIL"
+    assert off.residual == pytest.approx(1e-6)
+
+    loose = rule(form(lambda seq: 1e-2), tolerance=3e-2)
+    assert loose.status == "pass"
+    assert loose.residual == pytest.approx(1e-2)
