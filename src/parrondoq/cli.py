@@ -2,8 +2,9 @@
 
 Subcommands: ``payoff`` (one game sequence, one number), ``sweep`` (CSV over
 a parameter grid), ``figure`` (preset sweeps 1-9), ``verify`` (cross-check
-registry). Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 register size limit, 4 calibration failure.
+registry); ``payoff`` is the one-point ``sweep`` of the same flags, plus
+fixed-coin overrides. Exit codes: 0 success, 1 verification failure, 2 usage
+error, 3 register size limit, 4 calibration failure.
 
 Angles accept multiples of pi ("pi/5", "2pi/3", "-pi/2") as well as plain
 floats and fractions of them ("0.25", ".5", "1e-3", "1/168").
@@ -23,11 +24,11 @@ import functools
 import math
 import re
 import sys
-from dataclasses import replace
 
-from .coins import CoinParams, ParseError, SizeLimitError
-from .engine import CONVENTION_NAMES, play
-from .figures import SWEEP_VARS, SweepSetup, rows_to_csv, sweep_rows, figure_csv
+from .coins import ParseError, SizeLimitError
+from .engine import CONVENTION_NAMES, play_arrays
+from .figures import (SWEEP_VARS, SweepSetup, figure_csv, payoff_text,
+                      rows_to_csv, sweep_rows)
 from .noise import KINDS
 from .verify import (CalibrationError, discover_convention, format_report,
                      run_all)
@@ -87,6 +88,9 @@ _ANGLE = dict(type=parse_angle, metavar="ANGLE")
 _COIN_ANGLE = dict(type=_parse_coin_angle, metavar="ANGLE")
 _SWITCH = dict(action="store_const", const=True)
 
+#: The coin rotations only ``payoff`` sets, in ``coin_angles`` row order.
+_COIN_OVERRIDES = ("theta", "phi1", "phi2", "phi3", "phi4")
+
 #: Every ``payoff``/``sweep`` knob once, in ``--help`` order: (INI section,
 #: dest, ``add_argument`` keywords). The flag is ``--dest`` with "-" for "_";
 #: a config file's ``[section] dest`` goes through the same type and choices.
@@ -94,10 +98,10 @@ _KNOBS = (
     ("game", "seq", dict(help="game sequence, e.g. AAB, B^3, (AAB)^2")),
     ("game", "eps", dict(type=parse_angle, metavar="E",
                          help="classical bias offset (e.g. 1/168)")),
-    ("game", "theta", _COIN_ANGLE),
+    ("game", _COIN_OVERRIDES[0], _COIN_ANGLE),
     ("game", "gamma", _ANGLE),
     ("game", "delta", _ANGLE),
-    *(("game", f"phi{i}", _COIN_ANGLE) for i in range(1, 5)),
+    *(("game", name, _COIN_ANGLE) for name in _COIN_OVERRIDES[1:]),
     *(("game", f"{name}{i}", _ANGLE) for name in ("alpha", "beta")
       for i in range(1, 5)),
     ("game", "max_phases", dict(_SWITCH, help="set the four beta phases to "
@@ -237,21 +241,17 @@ def cmd_payoff(ns) -> int:
         raise UsageError("payoff takes exactly one --channel")
     p = ns.p or 0.0
     setup, note = _sweep_setup(ns, "p", (p, p, 1))
-    cfg, spec = setup.point(p, setup.channels[0])
+    angles, (corners,) = setup.block([p], setup.channels)
     if ns.identity_coins:
-        zero = CoinParams(0.0, 0.0, 0.0)
-        cfg = replace(cfg, coin_a=zero, coin_b=(zero,) * 4)
+        angles[:] = 0.0
     else:
-        if ns.theta is not None:
-            cfg = replace(cfg, coin_a=replace(cfg.coin_a, theta=ns.theta))
-        phis = (ns.phi1, ns.phi2, ns.phi3, ns.phi4)
-        cfg = replace(cfg, coin_b=tuple(
-            coin if phi is None else replace(coin, theta=phi)
-            for coin, phi in zip(cfg.coin_b, phis)))
-    report = play(setup.sequence, cfg, spec, setup.convention)
+        for row, name in enumerate(_COIN_OVERRIDES):
+            if (theta := getattr(ns, name)) is not None:
+                angles[:, row, 0] = theta
+    payoffs = play_arrays(setup.sequence, angles, corners, setup.convention)[0]
     if note:
         print(note)
-    print(f"payoff={report.payoff + 0.0:.12g}")
+    print(f"payoff={payoff_text(payoffs[0])}")
     return 0
 
 
@@ -270,8 +270,7 @@ def cmd_sweep(ns) -> int:
         raise UsageError("sweep requires --var and --grid")
     # an angle of 0 is an override too; a config's identity_coins = false
     # is not
-    fixed = [k for k in ("theta", "phi1", "phi2", "phi3", "phi4",
-                         "identity_coins")
+    fixed = [k for k in (*_COIN_OVERRIDES, "identity_coins")
              if getattr(ns, k, None) is not None
              and getattr(ns, k) is not False]
     if fixed:

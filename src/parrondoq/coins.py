@@ -155,9 +155,9 @@ def coin_angles(epsilon, gamma=0.0, delta=0.0, alphas=(0.0,) * 4,
     game; the built-in chain reference values are reproduced only under
     this assignment (see discover_convention).
 
-    Raises ValueError, naming the first point's first bad knob, for an
-    epsilon outside [0, 0.1], a phase outside [0, 2pi], an unknown
-    assignment or other than four sub-coin phases.
+    Raises ValueError for the first point's epsilon outside [0, 0.1], then
+    an unknown assignment or other than four sub-coin phases, then the
+    first point's first phase outside [0, 2pi]: all epsilons come first.
     """
     _refuse_outside([("epsilon", epsilon)], 0.1, "[0, 0.1]")
     if assignment not in ("printed", "canonical"):

@@ -7,14 +7,14 @@ grid-major, channel-minor. ``SweepSetup._knobs`` is the one place that
 turns game knobs into each point's calibration inputs and strength;
 ``SweepSetup.block`` builds a chunk's coin angles once and each channel's
 noise corners from them as arrays, and ``SweepSetup.point`` builds one
-point's coin configuration and noise spec (the CLI's ``payoff`` is a
-one-point sweep). A sweep with any out-of-domain point is refused when it
-is set up. ``sweep_rows`` walks the grid in chunks of at most
-``SWEEP_BLOCK`` values and plays each chunk channel by channel, each as one
-batched window sweep (``engine.play_arrays``).
-Payoffs within 1e-14 of zero print as ``0`` in the CSV. Presets 1-9 pin the
-parameter choices for the standard plots; preset 7 evaluates the
-repeated-sequence closed forms instead of simulating.
+point's coin configuration and noise spec. A sweep with any out-of-domain
+point is refused when it is set up. ``sweep_rows`` walks the grid in chunks
+of at most ``SWEEP_BLOCK`` values and plays each chunk channel by channel,
+each as one batched window sweep (``engine.play_arrays``), as the CLI's
+``payoff`` plays its one point. ``payoff_text`` prints a payoff, as ``0``
+within 1e-14 of zero, for both. Presets 1-9 pin the parameter choices for
+the standard plots; preset 7 evaluates the repeated-sequence closed forms
+instead of simulating.
 """
 from __future__ import annotations
 
@@ -171,18 +171,23 @@ def sweep_rows(setup: SweepSetup) -> list:
 
 #: Payoffs smaller than this print as 0: they are rounding noise about an
 #: exact zero, and their digits would depend on the summation order.
-_CSV_ZERO = 1e-14
+_PAYOFF_ZERO = 1e-14
 
 
 def _csv_num(x: float) -> str:
     return f"{x + 0.0:.12g}"        # + 0.0 folds -0.0 into 0
 
 
+def payoff_text(payoff: float) -> str:
+    """A payoff as the CSV and ``payoff`` print it."""
+    return _csv_num(0.0 if abs(payoff) < _PAYOFF_ZERO else payoff)
+
+
 def rows_to_csv(rows) -> str:
     lines = [CSV_HEADER]
     for var, value, channel, payoff in rows:
-        payoff = 0.0 if abs(payoff) < _CSV_ZERO else payoff
-        lines.append(f"{var},{_csv_num(value)},{channel},{_csv_num(payoff)}")
+        lines.append(f"{var},{_csv_num(value)},{channel},"
+                     f"{payoff_text(payoff)}")
     return "\n".join(lines) + "\n"
 
 

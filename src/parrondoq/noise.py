@@ -12,8 +12,8 @@ The channel acts once, on the initial state, independently on every qubit.
 |x><y| at many points at once: the window sweep in ``engine`` and the dense
 ``reference.apply_channel`` both apply the channel through it. Each formula
 takes an array of strengths (``kraus_stack`` for one kind, ``corner_stack``
-for one kind per point); ``kraus_single`` and ``channel_corners`` are their
-one-point cases.
+for one kind per point); ``kraus_single`` is the one-point case of the
+first, and a one-point caller reads ``corner_stack(kind, p)[0]``.
 """
 from __future__ import annotations
 
@@ -101,8 +101,3 @@ def corner_stack(kinds, p) -> np.ndarray:
         at = np.array([k == kind for k in kinds])
         corners[at] = corner_stack(kind, p[at])
     return corners
-
-
-def channel_corners(noise: NoiseSpec) -> np.ndarray:
-    """The one-point case of ``corner_stack``."""
-    return corner_stack(noise.kind, noise.p)[0]

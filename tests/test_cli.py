@@ -1,10 +1,16 @@
 import importlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from parrondoq import cli
+from parrondoq.coins import CoinParams
+from parrondoq.engine import play
+from parrondoq.figures import SweepSetup, payoff_text
+from parrondoq.noise import KINDS
 
 PI = math.pi
 
@@ -224,6 +230,9 @@ def test_sweep_beta_with_max_phases_varies(capsys):
     ["--seq", "AAB", "--eps", "1/168", "--delta", "pi/5", "--beta1", "pi/2",
      "--beta3", "pi/4", "--alpha2", "pi/3", "--gamma", "0.3",
      "--channel", "dp", "--p", "0.25"],
+    # rounding noise about an exact zero prints as 0 on both
+    ["--seq", "AA", "--eps", "1/168", "--channel", "dp", "--p", "0.5"],
+    ["--seq", "AAB", "--eps", "1/168", "--channel", "dp", "--p", "1"],
 ])
 def test_payoff_equals_one_point_sweep(flags, capsys):
     assert cli.main(["payoff"] + flags) == 0
@@ -232,6 +241,46 @@ def test_payoff_equals_one_point_sweep(flags, capsys):
     assert cli.main(["sweep"] + flags + ["--var", "p",
                                          "--grid", f"{p}:{p}:1"]) == 0
     assert sweep_payoffs(capsys) == [payoff]
+
+
+def test_payoff_overrides_equal_the_game_config_route(capsys):
+    """``payoff`` with fixed-coin overrides prints exactly what the
+    calibrated ``GameConfig``, with the overridden rotations swapped in by
+    ``dataclasses.replace``, gives under ``engine.play``."""
+    rng = np.random.default_rng(2009)
+    for _ in range(40):
+        seq = str(rng.choice(["A", "B", "AB", "AAB", "BB", "ABA", "B^3",
+                              "(AB)^2"]))
+        channel = str(rng.choice(KINDS))
+        p = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        eps, delta = float(rng.uniform(0, 0.1)), float(rng.uniform(0, 2 * PI))
+        max_phases = bool(rng.integers(2))
+        overrides = {name: float(rng.uniform(-PI, PI))
+                     for name in ("theta", "phi1", "phi2", "phi3", "phi4")
+                     if rng.integers(2)}
+        identity = rng.uniform() < 0.2
+        flags = [f"--seq={seq}", f"--channel={channel}", f"--p={p!r}",
+                 f"--eps={eps!r}", f"--delta={delta!r}",
+                 *(f"--{name}={value!r}" for name, value in overrides.items()),
+                 *(["--max-phases"] if max_phases else []),
+                 *(["--identity-coins"] if identity else [])]
+        assert cli.main(["payoff", *flags]) == 0
+
+        setup = SweepSetup(seq, "p", p, p, 1, (channel,), p=p, eps=eps,
+                           delta=delta, max_phases=max_phases)
+        cfg, spec = setup.point(p, channel)
+        if identity:
+            zero = CoinParams(0.0, 0.0, 0.0)
+            cfg = replace(cfg, coin_a=zero, coin_b=(zero,) * 4)
+        else:
+            if "theta" in overrides:
+                cfg = replace(cfg, coin_a=replace(cfg.coin_a,
+                                                  theta=overrides["theta"]))
+            cfg = replace(cfg, coin_b=tuple(
+                replace(coin, theta=overrides.get(f"phi{i}", coin.theta))
+                for i, coin in enumerate(cfg.coin_b, start=1)))
+        want = payoff_text(play(seq, cfg, spec).payoff)
+        assert capsys.readouterr().out == f"payoff={want}\n", flags
 
 
 def test_sweep_out_file(tmp_path, capsys):

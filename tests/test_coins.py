@@ -209,6 +209,9 @@ def test_coin_angles_name_the_first_bad_point():
     with pytest.raises(ValueError, match=r"^delta 7\.0 outside"):
         coin_angles(0.0, gamma=np.array([0.0, 0.0, 8.0]),
                     delta=np.array([0.0, 7.0, 0.0]))
+    # epsilon is checked at every point before any phase at any point
+    with pytest.raises(ValueError, match=r"^epsilon 0\.5 outside"):
+        coin_angles(np.array([0.05, 0.5]), delta=7.0)
 
 
 def test_max_payoff_phases():

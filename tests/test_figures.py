@@ -12,7 +12,7 @@ from parrondoq.engine import CONVENTION_NAMES, PayoffConvention, play
 from parrondoq.figures import (CSV_HEADER, FIGURES, GRID_POINTS, SWEEP_VARS,
                                SweepSetup, figure_csv, figure_rows,
                                rows_to_csv, sweep_rows)
-from parrondoq.noise import KINDS, channel_corners
+from parrondoq.noise import KINDS, corner_stack
 
 PI = math.pi
 
@@ -209,7 +209,8 @@ def test_block_is_the_one_point_rule_at_every_point():
                 cfg, spec = setup.point(value, channel)
                 assert row.tolist() == [[c.theta, c.gamma, c.delta]
                                         for c in (cfg.coin_a, *cfg.coin_b)]
-                assert np.array_equal(corner, channel_corners(spec))
+                assert np.array_equal(corner,
+                                      corner_stack(spec.kind, spec.p)[0])
 
 
 def test_sweep_block_boundaries_do_not_change_rows(monkeypatch):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from parrondoq.coins import SizeLimitError, embed
-from parrondoq.noise import (KINDS, NoiseSpec, channel_corners,
-                             completeness_defect, corner_stack, kraus_single,
-                             kraus_stack)
+from parrondoq.noise import (KINDS, NoiseSpec, completeness_defect,
+                             corner_stack, kraus_single, kraus_stack)
 from parrondoq.reference import (MAX_ENUMERATED_QUBITS, apply_channel,
                                  lift_enumerated)
 
@@ -68,7 +67,7 @@ def test_completeness(kind, p):
 @pytest.mark.parametrize("kind", KINDS)
 def test_corners_are_the_channel_on_basis_operators(kind):
     spec = NoiseSpec(kind, 0.37)
-    corners = channel_corners(spec)
+    corners = corner_stack(kind, 0.37)[0]
     assert corners.shape == (4, 2, 2)
     for x in (0, 1):
         for y in (0, 1):
@@ -88,7 +87,7 @@ def test_stacks_equal_one_point_sets_exactly(kind):
     for p, ops, corner in zip(ps.tolist(), stack, corners):
         spec = NoiseSpec(kind, p)
         assert np.array_equal(ops, np.array(kraus_single(spec)))
-        assert np.array_equal(corner, channel_corners(spec))
+        assert np.array_equal(corner, corner_stack(kind, p)[0])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -107,7 +106,7 @@ def test_corner_stack_takes_one_kind_per_point():
     ps = [0.3, 0.9, 0.5, 0.7, 0.2]
     corners = corner_stack(kinds, ps)
     for kind, p, corner in zip(kinds, ps, corners):
-        assert np.array_equal(corner, channel_corners(NoiseSpec(kind, p)))
+        assert np.array_equal(corner, corner_stack(kind, p)[0])
 
 
 def test_stacks_refuse_like_noise_spec():
@@ -177,10 +176,12 @@ def test_apply_channel_preserves_trace_and_positivity():
 
 
 def test_p_zero_is_identity_channel():
-    rho = random_density(2, seed=9)
-    for kind in KINDS:
+    """At p = 0 every kind's corners are exactly |x><y|, so the one
+    contraction gives the state back bit for bit."""
+    for n_qubits, kind in product(range(1, 6), KINDS):
+        rho = random_density(n_qubits, seed=9 + n_qubits)
         out = apply_channel(rho, NoiseSpec(kind, 0.0))
-        assert np.array_equal(out, rho)
+        assert np.array_equal(out, rho), (n_qubits, kind)
         assert out is not rho        # a copy, not the same object
 
 
