@@ -42,6 +42,8 @@ for text in ("AAB", "B", "BBB", "(AB)^2"):
     plan = parse_sequence(text)
     print(f"{text!r}: {plan.total_qubits} qubits, "
           f"{plan.seed_count} of them seeds")
-    for step in plan.games:
-        hist = (f" history={step.history}" if step.kind == "B" else "")
-        print(f"    {step.kind} -> qubit {step.target}{hist}")
+    for target, kind in enumerate(plan.games, plan.seed_count):
+        # a B reads the two qubits written just before its own
+        hist = (f" history={(target - 2, target - 1)}" if kind == "B"
+                else "")
+        print(f"    {kind} -> qubit {target}{hist}")

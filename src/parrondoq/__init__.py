@@ -7,9 +7,9 @@ damping) acts on the register before play. The package simulates arbitrary
 game sequences, evaluates closed-form reference payoffs, and cross-validates
 the two against each other.
 """
-from .coins import (CoinParams, GameConfig, GameStep, ParseError,
-                    SequencePlan, SizeLimitError, calibrate_classical,
-                    coin_angles, make_coin_a, make_coin_b, max_payoff_phases,
+from .coins import (CoinParams, GameConfig, ParseError, SequencePlan,
+                    SizeLimitError, calibrate_classical, coin_angles,
+                    make_coin_a, make_coin_b, max_payoff_phases,
                     parse_sequence)
 from .engine import (CONVENTION_NAMES, DEFAULT_CONVENTION, PayoffConvention,
                      PayoffReport, play, play_arrays, play_many)
@@ -25,7 +25,7 @@ from .verify import (CalibrationError, CheckResult, ConventionFinding,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoinParams", "GameConfig", "GameStep", "ParseError", "SequencePlan",
+    "CoinParams", "GameConfig", "ParseError", "SequencePlan",
     "build_unitary", "calibrate_classical", "coin_angles", "make_coin_a",
     "make_coin_b",
     "max_payoff_phases", "parse_sequence",

@@ -2,10 +2,11 @@
 
 Game A is an SU(2) coin on one qubit. Game B is an 8x8 block-diagonal
 operator on (history2, history1, target): the two history qubits select one
-of four sub-coins. A sequence string such as ``"AAB"`` or ``"B^3"`` compiles
-to a plan over a single register in which every game writes one fresh result
-qubit and every B reads the two most recently written results; sequences that
-open with B get the missing history prepended as seed qubits.
+of four sub-coins. A sequence string such as ``"AAB"`` or ``"B^3"`` parses
+to a ``SequencePlan``: its expanded game string and the number of seed
+qubits before it. Those two values fix the register: every game writes one
+fresh result qubit and every B reads the two most recently written results,
+so a sequence that opens with B gets the missing history as seed qubits.
 ``coin_angles`` is the calibration rule over arrays of knobs, and
 ``coin_matrices`` the coin formula over arrays of angles;
 ``calibrate_classical``, ``make_coin_a`` and ``make_coin_b`` are their
@@ -64,17 +65,16 @@ class GameConfig:
 
 
 @dataclass(frozen=True)
-class GameStep:
-    kind: str                      # "A" or "B"
-    target: int                    # result qubit this game writes
-    history: tuple[int, int] | None  # (older, newer) result qubits, B only
-
-
-@dataclass(frozen=True)
 class SequencePlan:
-    games: tuple[GameStep, ...]
+    """An expanded game string and the seed qubits before it. Game i writes
+    qubit ``seed_count + i``; a B reads the two qubits just before its
+    own."""
+    games: str                     # "A"/"B" per game, in play order
     seed_count: int
-    total_qubits: int
+
+    @property
+    def total_qubits(self) -> int:
+        return self.seed_count + len(self.games)
 
 
 def coin_matrices(theta, gamma, delta) -> np.ndarray:
@@ -278,16 +278,10 @@ def parse_sequence(text: str) -> SequencePlan:
                              f"limit is {MAX_QUBITS}")
 
     seeds = 2 - games[:2].index("B") if "B" in games[:2] else 0
-    total = seeds + count
-    if total > MAX_QUBITS:
-        raise SizeLimitError(
-            f"sequence needs {total} qubits, limit is {MAX_QUBITS}")
-
-    steps = []
-    for target, kind in enumerate(games, seeds):
-        history = (target - 2, target - 1) if kind == "B" else None
-        steps.append(GameStep(kind, target, history))
-    return SequencePlan(tuple(steps), seeds, total)
+    if seeds + count > MAX_QUBITS:
+        raise SizeLimitError(f"sequence needs {seeds + count} qubits, "
+                             f"limit is {MAX_QUBITS}")
+    return SequencePlan(games, seeds)
 
 
 def embed(op: np.ndarray, first_qubit: int, n_qubits: int) -> np.ndarray:

@@ -129,9 +129,8 @@ def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
     corners = corners[:, _CARRIED]
     coins = {"A": coin_a[:, None], "B": coin_b}
     factors = {kind: _entry_factors(coins[kind], corners)
-               for kind in {step.kind for step in plan.games}}
+               for kind in set(plan.games)}
     factors[None] = corners[:, :, None, :, None, :]
-    kind_at = {step.target: step.kind for step in plan.games}
     n, count = plan.total_qubits, len(corners)
     window = np.full((count, 3, 1, 1), 0.5, dtype=np.complex128)
     per_qubit = []
@@ -145,9 +144,9 @@ def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
                                    _WEIGHTS[at]).real)
         return w[:, :, 0, :, 0] + w[:, :, 1, :, 1]
 
-    for q in range(n):
+    for q, kind in enumerate((None,) * plan.seed_count + tuple(plan.games)):
         d = window.shape[-1]
-        window = (window[:, :, :, None, :, None] * factors[kind_at.get(q)]
+        window = (window[:, :, :, None, :, None] * factors[kind]
                   ).reshape(count, 3, 2 * d, 2 * d)
         if d == 4:
             window = read_out_oldest(window, q == n - 1)

@@ -88,8 +88,8 @@ class SweepSetup:
     def _knobs(self, values, channels):
         """epsilon, delta, the strength on each of ``channels`` and the four
         betas with ``var`` set to ``values``, each a scalar or one value per
-        point; a swept or explicit beta beats ``max_phases``, which beats 0,
-        and the ``none`` channel ignores p."""
+        point; a swept or explicit beta beats ``max_phases``, which beats
+        0."""
         knobs = {"p": self.p, "eps": self.eps, "delta": self.delta}
         betas = list(self.betas)
         if self.var.startswith("beta"):
@@ -99,7 +99,7 @@ class SweepSetup:
         derived = (max_payoff_phases(knobs["delta"]) if self.max_phases
                    else (0.0, 0.0, 0.0, 0.0))
         betas = tuple(d if b is None else b for b, d in zip(betas, derived))
-        strengths = [0.0 if ch == "none" else knobs["p"] for ch in channels]
+        strengths = [knobs["p"]] * len(channels)
         return knobs["eps"], knobs["delta"], strengths, betas
 
     def block(self, values, channels) -> tuple[np.ndarray, list]:

@@ -95,9 +95,8 @@ def build_unitary(plan: SequencePlan, cfg: GameConfig) -> np.ndarray:
         raise SizeLimitError(f"register of {n} qubits exceeds limit")
     coins = {"A": make_coin_a(cfg.coin_a), "B": make_coin_b(cfg.coin_b)}
     u = np.eye(2 ** n, dtype=np.complex128)
-    for step in plan.games:
-        first = step.target if step.kind == "A" else step.history[0]
-        u = _on_axes(coins[step.kind], u, first)
+    for target, kind in enumerate(plan.games, plan.seed_count):
+        u = _on_axes(coins[kind], u, target if kind == "A" else target - 2)
     return u
 
 

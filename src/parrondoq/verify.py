@@ -106,15 +106,21 @@ def check_kraus_completeness() -> CheckResult:
     return _result("kraus_completeness", worst, 1e-12)
 
 
+def _random_state(rng, n: int) -> np.ndarray:
+    """A random n-qubit density matrix m m^H / Tr(m m^H), m complex
+    Gaussian."""
+    dim = 2 ** n
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
 def check_channel_routes_agree() -> CheckResult:
     """Per-qubit sequential application equals the enumerated lifted sum."""
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for n in (1, 2, 3, 4):
-        dim = 2 ** n
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho).real
+        rho = _random_state(rng, n)
         for kind in ("ad", "dp", "pd"):
             for p in (0.0, 0.3, 1.0):
                 spec = NoiseSpec(kind, p)
@@ -131,10 +137,7 @@ def check_pd_diagonal_invariance() -> CheckResult:
     rng = np.random.default_rng(7)
     worst = 0.0
     for n in (1, 2, 3):
-        dim = 2 ** n
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho).real
+        rho = _random_state(rng, n)
         for p in (0.0, 0.3, 0.77, 1.0):
             out = apply_channel(rho, NoiseSpec("pd", p))
             worst = max(worst, float(np.max(np.abs(
@@ -175,20 +178,14 @@ def check_coin_unitarity() -> CheckResult:
 
 
 def check_compiler_layout() -> CheckResult:
-    """Register sizes, seed counts and history wiring of parsed sequences."""
+    """Game strings, seed counts and register sizes of parsed sequences;
+    ``check_compiler_products`` holds the B wiring they imply."""
+    layouts = {"AAB": ("AAB", 0, 3), "B": ("B", 2, 3),
+               "(AAB)^3": ("AAB" * 3, 0, 9), "AB^2": ("ABB", 1, 4)}
     bad = 0
-    plan = parse_sequence("AAB")
-    bad += plan.total_qubits != 3 or plan.seed_count != 0
-    bad += plan.games[2].history != (0, 1)
-    plan = parse_sequence("B")
-    bad += plan.total_qubits != 3 or plan.seed_count != 2
-    bad += plan.games[0].history != (0, 1) or plan.games[0].target != 2
-    plan = parse_sequence("(AAB)^3")
-    bad += plan.total_qubits != 9 or len(plan.games) != 9
-    bad += plan.games[5].history != (3, 4)
-    plan = parse_sequence("AB^2")
-    bad += plan.total_qubits != 4 or plan.seed_count != 1
-    bad += plan.games[1].history != (0, 1) or plan.games[2].history != (1, 2)
+    for text, layout in layouts.items():
+        plan = parse_sequence(text)
+        bad += (plan.games, plan.seed_count, plan.total_qubits) != layout
     return _result("compiler_layout", float(bad), 0.5,
                    "structural mismatches" if bad else "")
 

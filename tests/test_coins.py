@@ -229,43 +229,28 @@ def test_max_payoff_phases():
 
 def test_parse_simple_sequences():
     plan = parse_sequence("AAB")
-    assert plan.seed_count == 0
-    assert plan.total_qubits == 3
-    assert [g.kind for g in plan.games] == ["A", "A", "B"]
-    assert plan.games[2].target == 2
-    assert plan.games[2].history == (0, 1)
-    assert plan.games[0].history is None
+    assert (plan.games, plan.seed_count, plan.total_qubits) == ("AAB", 0, 3)
 
 
 def test_parse_leading_b_gets_seeds():
     plan = parse_sequence("B")
-    assert plan.seed_count == 2
-    assert plan.total_qubits == 3
-    assert plan.games[0].target == 2
-    assert plan.games[0].history == (0, 1)
-
+    assert (plan.games, plan.seed_count, plan.total_qubits) == ("B", 2, 3)
+    # the A lands on qubit 1, after the one seed
     plan = parse_sequence("AB")
-    assert plan.seed_count == 1
-    assert plan.total_qubits == 3
-    assert plan.games[0].target == 1     # A lands after the seed
-    assert plan.games[1].history == (0, 1)
+    assert (plan.games, plan.seed_count, plan.total_qubits) == ("AB", 1, 3)
 
 
 def test_parse_exponents_and_groups():
-    assert parse_sequence("B^3").total_qubits == 5
+    plan = parse_sequence("B^3")
+    assert (plan.games, plan.seed_count, plan.total_qubits) == ("BBB", 2, 5)
     plan = parse_sequence("(AAB)^2")
-    assert plan.total_qubits == 6
-    assert [g.kind for g in plan.games] == list("AABAAB")
-    assert plan.games[5].history == (3, 4)
-    nested = parse_sequence("((AB)^2)^2")
-    assert [g.kind for g in nested.games] == list("ABABABAB")
+    assert (plan.games, plan.total_qubits) == ("AABAAB", 6)
+    assert parse_sequence("((AB)^2)^2").games == "ABABABAB"
 
 
 def test_parse_history_always_two_most_recent():
     plan = parse_sequence("AB^2")
-    assert plan.seed_count == 1
-    assert plan.games[1].history == (0, 1)
-    assert plan.games[2].history == (1, 2)
+    assert (plan.games, plan.seed_count, plan.total_qubits) == ("ABB", 1, 4)
 
 
 @pytest.mark.parametrize("text,offset", [
@@ -371,10 +356,8 @@ def test_parse_matches_expansion_on_random_trees():
                 parse_sequence(text)
             continue
         plan = parse_sequence(text)
-        assert (plan.seed_count, plan.total_qubits) == (seeds, total), text
-        assert [(g.kind, g.target, g.history) for g in plan.games] == [
-            (kind, t, (t - 2, t - 1) if kind == "B" else None)
-            for t, kind in enumerate(games, seeds)], text
+        assert (plan.games, plan.seed_count, plan.total_qubits) == (
+            games, seeds, total), text
     assert seen == {(s, fits) for s in (0, 1, 2) for fits in (True, False)}
 
 
@@ -448,9 +431,12 @@ def test_build_unitary_matches_embed_products_on_random_plans():
         coins = {"A": make_coin_a(cfg.coin_a), "B": make_coin_b(cfg.coin_b)}
         n = plan.total_qubits
         want = np.eye(2 ** n)
-        for step in plan.games:
-            first = step.target if step.kind == "A" else step.history[0]
-            want = embed(coins[step.kind], first, n) @ want
+        assert plan.games == sequence
+        # an A acts on its target, a B on the two qubits before it and its
+        # target
+        for target, kind in enumerate(sequence, plan.seed_count):
+            first = target if kind == "A" else target - 2
+            want = embed(coins[kind], first, n) @ want
         got = build_unitary(plan, cfg)
         assert np.abs(got - want).max() <= 1e-13, sequence
     assert seeds == {0, 1, 2}

@@ -9,8 +9,9 @@ import pytest
 from parrondoq import engine
 from parrondoq.coins import (MAX_QUBITS, CoinParams, GameConfig,
                              SequencePlan, SizeLimitError,
-                             calibrate_classical, coin_matrices,
-                             max_payoff_phases, parse_sequence)
+                             calibrate_classical, coin_angles,
+                             coin_matrices, max_payoff_phases,
+                             parse_sequence)
 from parrondoq.engine import (CONVENTION_NAMES, PayoffConvention,
                               PayoffReport, _score, play, play_arrays,
                               play_many)
@@ -65,7 +66,7 @@ def test_dense_reference_stops_at_max_qubits_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    plan = SequencePlan(games=(), seed_count=0, total_qubits=MAX_QUBITS + 1)
+    plan = SequencePlan("A" * (MAX_QUBITS + 1), 0)
     with pytest.raises(SizeLimitError, match="register of 12 qubits"):
         build_unitary(plan, fig1_config())
 
@@ -470,6 +471,15 @@ def test_repeated_a_games_feel_only_amplitude_damping(delta):
             per_qubit = play(seq, cfg, NoiseSpec(kind, p)).per_qubit
             assert per_qubit == pytest.approx([want] * len(seq), abs=1e-12), \
                 (seq, kind)
+    # a hand-built plan past the parser's cap: the sweep itself has none
+    angles = coin_angles(eps, delta=delta, assignment="canonical")
+    coins = coin_matrices(*np.moveaxis(angles, -1, 0))
+    per_qubit = engine._window_expectations(
+        SequencePlan("A" * 40, 0), coins[:, 0], coins[:, 1:],
+        corner_stack(["ad", "dp", "pd"], p))
+    assert per_qubit.shape == (3, 40)
+    assert np.abs(per_qubit - np.array([[-2 * eps * p], [0.0], [0.0]])
+                  ).max() <= 1e-12
     lone = {0.0: 0.731, 0.7: 0.550, PI / 2: -0.040, 2.5: -0.658}[delta]
     assert play("A", cfg, NoiseSpec("ad", p)).payoff == pytest.approx(
         lone, abs=1e-3)

@@ -55,6 +55,8 @@ OUT_OF_DOMAIN = [
     (dict(var="eps", start=0.0, stop=0.05, count=3, p=1.5,
           channels=("dp",), alphas=(0.0, 0.0, 0.0, -2.0)),
      "gamma -2.0 outside [0, 2pi]"),
+    (dict(var="p", start=-1.0, stop=1.0, count=5, channels=("none",)),
+     "p -1.0 outside [0, 1]"),
 ]
 
 
@@ -71,9 +73,13 @@ def test_out_of_domain_sweep_is_refused_before_any_play(overrides, message,
 
 
 def test_domain_check_accepts_what_every_point_accepts():
-    # any p when every channel is none, and grids that touch the bounds
-    assert small_setup(p=7.0, channels=("none",)).p == 7.0
-    rows = sweep_rows(small_setup(var="p", start=3.0, stop=-1.0,
+    # p is checked under the none channel too, and grids that touch the
+    # bounds pass
+    with pytest.raises(ValueError, match=r"^p 7\.0 outside \[0, 1\]$"):
+        small_setup(var="eps", stop=0.05, p=7.0, channels=("none",))
+    with pytest.raises(ValueError, match=r"^p 3\.0 outside \[0, 1\]$"):
+        small_setup(var="p", start=3.0, stop=-1.0, channels=("none",))
+    rows = sweep_rows(small_setup(var="p", start=1.0, stop=0.0,
                                   channels=("none",)))
     assert len({r[3] for r in rows}) == 1
     for var, stop in (("eps", 0.1), ("delta", 2 * PI), ("beta1", 2 * PI)):
