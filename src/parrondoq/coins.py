@@ -77,19 +77,26 @@ class SequencePlan:
         return self.seed_count + len(self.games)
 
 
+#: Signs of gamma and delta in the entries' half-phases
+#: [-(g+d), -(g-d), g-d, g+d] / 2, and the entries' cos and sin weights
+#: [cos, -sin, sin, cos], entries ordered 00, 01, 10, 11.
+_GAMMA_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
+_DELTA_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
+_COS_WEIGHTS = np.array([1.0, 0.0, 0.0, 1.0])
+_SIN_WEIGHTS = np.array([0.0, -1.0, 1.0, 0.0])
+
+
 def coin_matrices(theta, gamma, delta) -> np.ndarray:
     """SU(2) coins for array (or scalar) angles, shape ``(..., 2, 2)``:
-    rows/cols ordered |0>, |1>, winning amplitude sin(theta)."""
-    th, g, d = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                   np.asarray(gamma, dtype=float),
-                                   np.asarray(delta, dtype=float))
-    cos, sin = np.cos(th), np.sin(th)
-    coins = np.empty(th.shape + (2, 2), dtype=np.complex128)
-    coins[..., 0, 0] = np.exp(-1j * (g + d) / 2) * cos
-    coins[..., 0, 1] = -np.exp(-1j * (g - d) / 2) * sin
-    coins[..., 1, 0] = np.exp(1j * (g - d) / 2) * sin
-    coins[..., 1, 1] = np.exp(1j * (g + d) / 2) * cos
-    return coins
+    rows/cols ordered |0>, |1>, winning amplitude sin(theta). The four
+    entries are one exponential of the half-phase sums
+    [-(g+d), -(g-d), g-d, g+d] / 2, stacked by broadcasting against sign
+    vectors, scaled by [cos, -sin, sin, cos]."""
+    th, g, d = (np.asarray(angle, dtype=float)[..., None]
+                for angle in (theta, gamma, delta))
+    coins = (np.exp(1j * ((g * _GAMMA_SIGNS + d * _DELTA_SIGNS) / 2))
+             * (np.cos(th) * _COS_WEIGHTS + np.sin(th) * _SIN_WEIGHTS))
+    return coins.reshape(coins.shape[:-1] + (2, 2))
 
 
 def block_coins(subs: np.ndarray) -> np.ndarray:

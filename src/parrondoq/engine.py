@@ -122,9 +122,12 @@ def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
     (B's sub-coin h, the A coin for every h), so the kron and the game are
     one product W'[(h, i), (h', j)] = W[h, h'] (c_h E c_h'^H)[i, j] (E for
     a seed). A game touches only its target and the two qubits before it,
-    so the window's oldest of three is read out and traced out: an exact
+    so the window's oldest of three is traced out: an exact
     bond-dimension-2 contraction (Vidal, PRL 91, 147902 (2003)), linear in
-    the register size, on all G points at once.
+    the register size, on all G points at once. Of each qubit traced out
+    before the register is full only the diagonals of its |0><0| and
+    |1><1| windows are kept, and they are read out after the sweep in one
+    contraction; the last three qubits are read out as the sweep ends.
     """
     corners = corners[:, _CARRIED]
     coins = {"A": coin_a[:, None], "B": coin_b}
@@ -132,27 +135,33 @@ def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
                for kind in set(plan.games)}
     factors[None] = corners[:, :, None, :, None, :]
     n, count = plan.total_qubits, len(corners)
+    steady = max(n - 3, 0)
+    per_qubit = np.empty((count, n))
     window = np.full((count, 3, 1, 1), 0.5, dtype=np.complex128)
-    per_qubit = []
-
-    def read_out_oldest(window: np.ndarray, last: bool) -> np.ndarray:
-        d = window.shape[-1] // 2
-        w = window.reshape(count, 3, 2, d, 2, d)
-        # Tr E(|0><1|) = 0: |0><1| counts only once the register is full.
-        at = slice(None) if last else slice(None, None, 2)
-        per_qubit.append(np.einsum("gtiaia,i,t->g", w[:, at], _SCORE,
-                                   _WEIGHTS[at]).real)
-        return w[:, :, 0, :, 0] + w[:, :, 1, :, 1]
-
+    # (qubit, point, corner, (i, a)): the |0><0| and |1><1| diagonals of
+    # the windows traced out before the register is full
+    diagonals = np.empty((steady, count, 2, 8), dtype=np.complex128)
     for q, kind in enumerate((None,) * plan.seed_count + tuple(plan.games)):
         d = window.shape[-1]
-        window = (window[:, :, :, None, :, None] * factors[kind]
-                  ).reshape(count, 3, 2 * d, 2 * d)
-        if d == 4:
-            window = read_out_oldest(window, q == n - 1)
-    while window.shape[-1] > 1:
-        window = read_out_oldest(window, True)
-    return np.stack(per_qubit, axis=1)
+        window = window[:, :, :, None, :, None] * factors[kind]
+        if 2 <= q < n - 1:
+            diagonals[q - 2] = window.reshape(count, 3, 64)[:, ::2, ::9]
+            w = window.reshape(count, 3, 2, 4, 2, 4)
+            window = w[:, :, 0, :, 0] + w[:, :, 1, :, 1]
+        else:
+            window = window.reshape(count, 3, 2 * d, 2 * d)
+    for column in range(steady, n):
+        d = window.shape[-1] // 2
+        w = window.reshape(count, 3, 2, d, 2, d)
+        per_qubit[:, column] = np.einsum("gtiaia,i,t->g", w, _SCORE,
+                                         _WEIGHTS).real
+        window = w[:, :, 0, :, 0] + w[:, :, 1, :, 1]
+    if steady:
+        # Tr E(|0><1|) = 0: |0><1| counts only once the register is full.
+        per_qubit[:, :steady] = np.einsum(
+            "ngtia,i,t->gn", diagonals.reshape(steady, count, 2, 2, 4),
+            _SCORE, _WEIGHTS[::2]).real
+    return per_qubit
 
 
 def play_arrays(sequence: str, angles: np.ndarray, corners: np.ndarray,
@@ -162,9 +171,16 @@ def play_arrays(sequence: str, angles: np.ndarray, corners: np.ndarray,
     sequence string at G points, from one batched window sweep: coin angles
     ``(G, 5, 3)`` as ``coins.coin_angles`` gives them, or ``(1, 5, 3)`` for
     one angle set at every point, and noise corners ``(G, 4, 2, 2)`` as
-    ``noise.corner_stack`` gives them."""
+    ``noise.corner_stack`` gives them. Any other shape is a ``ValueError``
+    before any work."""
+    angles, corners = np.asarray(angles), np.asarray(corners)
+    batch = corners.shape[:1]
+    if (corners.shape != batch + (4, 2, 2)
+            or angles.shape not in (batch + (5, 3), (1, 5, 3))):
+        raise ValueError(f"angles {angles.shape} and corners {corners.shape}"
+                         " are not (G or 1, 5, 3) and (G, 4, 2, 2)")
     plan = parse_sequence(sequence)
-    coins = coin_matrices(*np.moveaxis(angles, -1, 0))
+    coins = coin_matrices(angles[..., 0], angles[..., 1], angles[..., 2])
     expectations = _window_expectations(plan, coins[:, 0], coins[:, 1:],
                                         corners)
     return _score(expectations, plan, convention), expectations
@@ -175,9 +191,10 @@ def play_many(sequence: str, points,
               ) -> list[PayoffReport]:
     """Payoffs of one sequence string at many ``(GameConfig, NoiseSpec)``
     points, in order: ``play_arrays`` on their angles and corners."""
-    angles = np.array([[(c.theta, c.gamma, c.delta)
-                        for c in (cfg.coin_a, *cfg.coin_b)]
-                       for cfg, _ in points]).reshape(-1, 5, 3)
+    angles = np.array([angle for cfg, _ in points
+                       for c in (cfg.coin_a, *cfg.coin_b)
+                       for angle in (c.theta, c.gamma, c.delta)]
+                      ).reshape(-1, 5, 3)
     corners = corner_stack([noise.kind for _, noise in points],
                            [noise.p for _, noise in points])
     payoffs, expectations = play_arrays(sequence, angles, corners, convention)

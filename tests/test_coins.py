@@ -83,6 +83,38 @@ def test_coin_stacks_equal_one_coin_builds():
         assert np.array_equal(blocks[g], make_coin_b(tuple(row)))
 
 
+def _four_exponential_coins(theta, gamma, delta):
+    """The coin formula written entry by entry, one exponential each."""
+    th, g, d = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                   np.asarray(gamma, dtype=float),
+                                   np.asarray(delta, dtype=float))
+    cos, sin = np.cos(th), np.sin(th)
+    coins = np.empty(th.shape + (2, 2), dtype=np.complex128)
+    coins[..., 0, 0] = np.exp(-1j * (g + d) / 2) * cos
+    coins[..., 0, 1] = -np.exp(-1j * (g - d) / 2) * sin
+    coins[..., 1, 0] = np.exp(1j * (g - d) / 2) * sin
+    coins[..., 1, 1] = np.exp(1j * (g + d) / 2) * cos
+    return coins
+
+
+def test_coin_matrices_equal_four_exponential_formula_bit_for_bit():
+    rng = np.random.default_rng(19)
+    cases = [(0.3, 0.7, 1.9), (0.0, 0.0, 0.0), (-PI, 2 * PI, 0.0)]
+    for shape in ((5,), (7, 4)):
+        cases.append((rng.uniform(-PI, PI, shape),
+                      rng.uniform(0, 2 * PI, shape),
+                      rng.uniform(0, 2 * PI, shape)))
+    # one theta broadcast against arrays of phases, and theta = 0 rows
+    cases.append((0.4, rng.uniform(0, 2 * PI, (7, 4)),
+                  rng.uniform(0, 2 * PI, (7, 4))))
+    cases.append((np.zeros(5), rng.uniform(0, 2 * PI, 5), 1.0))
+    for theta, gamma, delta in cases:
+        want = _four_exponential_coins(theta, gamma, delta)
+        got = coin_matrices(theta, gamma, delta)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_coin_b_needs_four_subs():
     with pytest.raises(ValueError):
         make_coin_b((CoinParams(0, 0, 0),) * 3)

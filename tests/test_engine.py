@@ -388,7 +388,9 @@ def test_play_many_equals_per_point_plays_exactly():
                     assignment=assignment)
                 points.append((cfg, NoiseSpec(kind, float(rng.uniform()))))
     points = [points[i] for i in rng.permutation(len(points))]
-    for sequence in ("B", "BBB", "AAB", "(AAB)^2"):
+    # A and AA are read out only as the sweep ends; B^9 fills the register
+    # and has the most qubits read out before it is full
+    for sequence in ("A", "AA", "B", "BBB", "AAB", "(AAB)^2", "B^9"):
         for name, conv in CONVENTION_NAMES.items():
             want = [play(sequence, cfg, noise, conv) for cfg, noise in points]
             assert play_many(sequence, points, conv) == want, \
@@ -413,6 +415,26 @@ def test_play_arrays_is_play_many_on_angle_and_corner_arrays():
     one = play_arrays("ABAB", angles[:1], corner_stack(kinds, ps), PER_QUBIT)
     assert np.array_equal(one[0], payoffs)
     assert np.array_equal(one[1], per_qubit)
+
+
+@pytest.mark.parametrize("angles, corners", [
+    ((1, 5, 4), (1, 4, 2, 2)),
+    ((1, 4, 3), (1, 4, 2, 2)),
+    ((1, 6, 3), (1, 4, 2, 2)),
+    ((2, 5, 3), (3, 4, 2, 2)),
+    ((1, 5, 3), (1, 3, 2, 2)),
+])
+def test_play_arrays_refuses_bad_shapes_naming_both(angles, corners,
+                                                     monkeypatch):
+    def no_work(*args):
+        raise AssertionError("played before the shapes were checked")
+    monkeypatch.setattr(engine, "parse_sequence", no_work)
+    monkeypatch.setattr(engine, "coin_matrices", no_work)
+    with pytest.raises(ValueError) as err:
+        play_arrays("AAB", np.zeros(angles),
+                    np.zeros(corners, dtype=np.complex128))
+    assert str(angles) in str(err.value)
+    assert str(corners) in str(err.value)
 
 
 def test_play_many_edge_cases():
