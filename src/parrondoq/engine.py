@@ -8,13 +8,14 @@ any game is played. A basis state's score is the sum of +1 per |1> (win) and
 ``play_arrays`` reads those expectations for many points of one sequence
 at once, given as arrays of coin angles and noise corners, from a
 left-to-right window sweep whose cost grows linearly with the number of
-games and which carries every point on a leading batch axis
-(``_window_expectations``), and scores every point in one pass. The figure
-sweeps call it block by block. ``play_many`` is the same for a list of
-(coin configuration, noise) points, as ``verify``'s checks use, and ``play``
-its one-point case. The module is simulation only: it holds no 2^n x 2^n
-matrix (the dense route lives in ``reference``) and no closed form (the
-comparisons, the convention search included, live in ``verify``).
+games, which carries only the populations (window diagonals) the payoff
+reads and every point on a leading batch axis (``_window_expectations``),
+and scores every point in one pass. The figure sweeps call it block by
+block. ``play_many`` is the same for a list of (coin configuration, noise)
+points, as ``verify``'s checks use, and ``play`` its one-point case. The
+module is simulation only: it holds no 2^n x 2^n matrix (the dense route
+lives in ``reference``) and no closed form (the comparisons, the convention
+search included, live in ``verify``).
 """
 from __future__ import annotations
 
@@ -91,19 +92,18 @@ _WEIGHTS = np.array([1.0, 2.0, 1.0])
 
 
 def _entry_factors(coins: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    """c E c'^H for every corner E ``(G, T, 2, 2)`` and every pair of coins
-    c, c' of one stack ``(G, C, 2, 2)`` or ``(1, C, 2, 2)``: shape
-    ``(G, T, C, 2, C, 2)``. The coins' outer products
-    O[k, l, (c, i, d, j)] = c[c, i, k] c'[d, j, l]^* are weighted by the
-    corners' entries E[k, l] in one matmul, so a size-1 stack builds its
-    products once and broadcasting serves every point."""
+    """Diagonals of c E c^H for every corner E ``(G, T, 2, 2)`` and every
+    coin c of one stack ``(G, C, 2, 2)`` or ``(1, C, 2, 2)``: shape
+    ``(G, T, C, 2)``. The coins' outer products
+    O[k, l, (c, i)] = c[c, i, k] c[c, i, l]^* are weighted by the corners'
+    entries E[k, l] in one matmul, so a size-1 stack builds its products
+    once and broadcasting serves every point."""
     count, carried, size = len(corners), corners.shape[1], coins.shape[1]
     c = coins.transpose(0, 3, 1, 2)
-    outer = (c[:, :, None, :, :, None, None]
-             * c.conj()[:, None, :, None, None, :, :])
+    outer = c[:, :, None] * c.conj()[:, None]
     return (corners.reshape(count, carried, 4)
-            @ outer.reshape(-1, 4, 4 * size * size)
-            ).reshape(count, carried, size, 2, size, 2)
+            @ outer.reshape(-1, 4, 2 * size)
+            ).reshape(count, carried, size, 2)
 
 
 def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
@@ -119,43 +119,45 @@ def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
     |0><0|, |0><1| and |1><1| are carried, and the last readouts count
     |0><1| twice, real part only. Each qubit enters a window of at most
     three in a product state, its game's coin picked by the window's bits h
-    (B's sub-coin h, the A coin for every h), so the kron and the game are
-    one product W'[(h, i), (h', j)] = W[h, h'] (c_h E c_h'^H)[i, j] (E for
-    a seed). A game touches only its target and the two qubits before it,
-    so the window's oldest of three is traced out: an exact
-    bond-dimension-2 contraction (Vidal, PRL 91, 147902 (2003)), linear in
-    the register size, on all G points at once. Of each qubit traced out
-    before the register is full only the diagonals of its |0><0| and
-    |1><1| windows are kept, and they are read out after the sweep in one
-    contraction; the last three qubits are read out as the sweep ends.
+    (B's sub-coin h, the A coin for every h), and no later game changes
+    those bits. So a window entry off the diagonal only ever feeds entries
+    off the diagonal, and the payoff, which reads populations, needs only
+    each corner's diagonal d: the kron and the game are one product
+    d'[(h, i)] = d[h] (c_h E c_h^H)[i, i] (E for a seed). A game touches
+    only its target and the two qubits before it, so the window's oldest of
+    three is traced out, d[m] = d'[(0, m)] + d'[(1, m)]: per corner, the
+    history-dependent Markov chain on the last two results (Parrondo,
+    Harmer and Abbott, PRL 85, 5226 (2000)), linear in the register size,
+    on all G points at once. Of each qubit traced out before the register
+    is full only the |0><0| and |1><1| diagonals are kept, and they are
+    read out after the sweep in one contraction; the last three qubits are
+    read out as the sweep ends.
     """
     corners = corners[:, _CARRIED]
     coins = {"A": coin_a[:, None], "B": coin_b}
     factors = {kind: _entry_factors(coins[kind], corners)
                for kind in set(plan.games)}
-    factors[None] = corners[:, :, None, :, None, :]
+    factors[None] = np.diagonal(corners, axis1=2, axis2=3)[:, :, None]
     n, count = plan.total_qubits, len(corners)
     steady = max(n - 3, 0)
     per_qubit = np.empty((count, n))
-    window = np.full((count, 3, 1, 1), 0.5, dtype=np.complex128)
+    diagonal = np.full((count, 3, 1), 0.5, dtype=np.complex128)
     # (qubit, point, corner, (i, a)): the |0><0| and |1><1| diagonals of
     # the windows traced out before the register is full
     diagonals = np.empty((steady, count, 2, 8), dtype=np.complex128)
     for q, kind in enumerate((None,) * plan.seed_count + tuple(plan.games)):
-        d = window.shape[-1]
-        window = window[:, :, :, None, :, None] * factors[kind]
+        d = diagonal.shape[-1]
+        diagonal = (diagonal[:, :, :, None] * factors[kind]
+                    ).reshape(count, 3, 2 * d)
         if 2 <= q < n - 1:
-            diagonals[q - 2] = window.reshape(count, 3, 64)[:, ::2, ::9]
-            w = window.reshape(count, 3, 2, 4, 2, 4)
-            window = w[:, :, 0, :, 0] + w[:, :, 1, :, 1]
-        else:
-            window = window.reshape(count, 3, 2 * d, 2 * d)
+            diagonals[q - 2] = diagonal[:, ::2]
+            halves = diagonal.reshape(count, 3, 2, 4)
+            diagonal = halves[:, :, 0] + halves[:, :, 1]
     for column in range(steady, n):
-        d = window.shape[-1] // 2
-        w = window.reshape(count, 3, 2, d, 2, d)
-        per_qubit[:, column] = np.einsum("gtiaia,i,t->g", w, _SCORE,
+        halves = diagonal.reshape(count, 3, 2, diagonal.shape[-1] // 2)
+        per_qubit[:, column] = np.einsum("gtia,i,t->g", halves, _SCORE,
                                          _WEIGHTS).real
-        window = w[:, :, 0, :, 0] + w[:, :, 1, :, 1]
+        diagonal = halves[:, :, 0] + halves[:, :, 1]
     if steady:
         # Tr E(|0><1|) = 0: |0><1| counts only once the register is full.
         per_qubit[:, :steady] = np.einsum(

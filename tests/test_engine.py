@@ -296,20 +296,39 @@ def test_window_sweep_matches_dense_pipeline():
 
 
 def test_entry_factors_are_coin_sandwiched_corners():
-    """The sweep's fused entry step multiplies by c E c'^H for every pair of
-    coins of one stack; a stack of leading size 1 serves every point, as
-    p-sweeps pass it."""
+    """The sweep's fused entry step multiplies by the diagonal of c E c^H
+    for every coin of one stack; a stack of leading size 1 serves every
+    point, as p-sweeps pass it."""
     rng = np.random.default_rng(1999)
     corners = corner_stack(list(rng.choice(KINDS, 6)), rng.uniform(0, 1, 6))
     for points, size in ((6, 4), (1, 4), (6, 1)):
         angles = rng.uniform(0.0, 2 * PI, (3, points, size))
         coins = coin_matrices(*angles)
         factors = engine._entry_factors(coins, corners)
-        assert factors.shape == (6, 4, size, 2, size, 2)
-        for g, t, c, d in np.ndindex(6, 4, size, size):
-            coin_c, coin_d = coins[g % points, c], coins[g % points, d]
-            want = coin_c @ corners[g, t] @ coin_d.conj().T
-            assert np.abs(factors[g, t, c, :, d] - want).max() <= 1e-15
+        assert factors.shape == (6, 4, size, 2)
+        for g, t, c in np.ndindex(6, 4, size):
+            coin = coins[g % points, c]
+            want = np.diag(coin @ corners[g, t] @ coin.conj().T)
+            assert np.abs(factors[g, t, c] - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("size", [1, 4])
+def test_entry_factors_are_populations(size):
+    """A coin sandwich of |0><0| or |1><1| is a state: its diagonal is real,
+    nonnegative and sums to 1, at every p of every channel, p = 0 and p = 1
+    included. Tr E(|0><1|) = 0, so the |0><1| diagonal sums to 0 and only
+    the last readouts count it."""
+    rng = np.random.default_rng([2020, size])
+    kinds = [kind for kind in KINDS for _ in range(5)]
+    ps = np.concatenate([[0.0, 1.0, *rng.uniform(0, 1, 3)]] * len(KINDS))
+    corners = corner_stack(kinds, ps)[:, engine._CARRIED]
+    coins = coin_matrices(*rng.uniform(-PI, 2 * PI, (3, len(kinds), size)))
+    factors = engine._entry_factors(coins, corners)
+    populations = factors[:, ::2]
+    assert np.abs(populations.imag).max() <= 1e-15
+    assert populations.real.min() >= -1e-15
+    assert np.abs(populations.sum(axis=-1) - 1).max() <= 1e-15
+    assert np.abs(factors[:, 1].sum(axis=-1)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("size", [1, 4])
@@ -435,6 +454,85 @@ def test_play_arrays_refuses_bad_shapes_naming_both(angles, corners,
                     np.zeros(corners, dtype=np.complex128))
     assert str(angles) in str(err.value)
     assert str(corners) in str(err.value)
+
+
+def full_window_expectations(plan, coin_a, coin_b, corners):
+    """The window sweep as it was before it carried only diagonals: every
+    corner's whole window W'[(h, i), (h', j)] = W[h, h'] (c_h E c_h'^H)[i, j],
+    built from the coins' full outer products, then traced."""
+    corners = corners[:, engine._CARRIED]
+    count = len(corners)
+    factors = {None: corners[:, :, None, :, None, :]}
+    for kind, coins in (("A", coin_a[:, None]), ("B", coin_b)):
+        size = coins.shape[1]
+        c = coins.transpose(0, 3, 1, 2)
+        outer = (c[:, :, None, :, :, None, None]
+                 * c.conj()[:, None, :, None, None, :, :])
+        factors[kind] = (corners.reshape(count, 3, 4)
+                         @ outer.reshape(-1, 4, 4 * size * size)
+                         ).reshape(count, 3, size, 2, size, 2)
+    n = plan.total_qubits
+    steady = max(n - 3, 0)
+    per_qubit = np.empty((count, n))
+    window = np.full((count, 3, 1, 1), 0.5, dtype=np.complex128)
+    diagonals = np.empty((steady, count, 2, 8), dtype=np.complex128)
+    for q, kind in enumerate((None,) * plan.seed_count + tuple(plan.games)):
+        d = window.shape[-1]
+        window = window[:, :, :, None, :, None] * factors[kind]
+        if 2 <= q < n - 1:
+            diagonals[q - 2] = window.reshape(count, 3, 64)[:, ::2, ::9]
+            w = window.reshape(count, 3, 2, 4, 2, 4)
+            window = w[:, :, 0, :, 0] + w[:, :, 1, :, 1]
+        else:
+            window = window.reshape(count, 3, 2 * d, 2 * d)
+    for column in range(steady, n):
+        d = window.shape[-1] // 2
+        w = window.reshape(count, 3, 2, d, 2, d)
+        per_qubit[:, column] = np.einsum("gtiaia,i,t->g", w, engine._SCORE,
+                                         engine._WEIGHTS).real
+        window = w[:, :, 0, :, 0] + w[:, :, 1, :, 1]
+    if steady:
+        per_qubit[:, :steady] = np.einsum(
+            "ngtia,i,t->gn", diagonals.reshape(steady, count, 2, 2, 4),
+            engine._SCORE, engine._WEIGHTS[::2]).real
+    return per_qubit
+
+
+def test_window_sweep_equals_full_window_sweep_bit_for_bit():
+    """Carrying only the diagonals does the same floating-point operations on
+    them as the full windows did, so every payoff keeps its bits: 1-11
+    qubits, both kinds of game, all four channels, 1, 3 and 64 points, coin
+    stacks of leading size 1 and G."""
+    rng = np.random.default_rng(2020)
+    sizes = []
+    while len(sizes) < 120:
+        games = "".join(rng.choice(("A", "B"), size=int(rng.integers(1, 12))))
+        try:
+            plan = parse_sequence(games)
+        except SizeLimitError:
+            continue
+        count = int(rng.choice([1, 3, 64]))
+        lead = int(rng.choice([1, count]))
+        corners = corner_stack(list(rng.choice(KINDS, count)),
+                               rng.uniform(0, 1, count))
+        coins = coin_matrices(*rng.uniform(-PI, 2 * PI, (3, lead, 5)))
+        got = engine._window_expectations(plan, coins[:, 0], coins[:, 1:],
+                                          corners)
+        want = full_window_expectations(plan, coins[:, 0], coins[:, 1:],
+                                        corners)
+        assert np.array_equal(got, want), (plan, count, lead)
+        sizes.append(plan.total_qubits)
+    assert set(sizes) == set(range(1, MAX_QUBITS + 1))
+
+
+@pytest.mark.parametrize("sequence", ["A", "AAB", "B^9"])
+@pytest.mark.parametrize("lead", [0, 1])
+def test_play_arrays_takes_an_empty_batch(sequence, lead):
+    n = parse_sequence(sequence).total_qubits
+    payoffs, per_qubit = play_arrays(sequence, np.zeros((lead, 5, 3)),
+                                     np.zeros((0, 4, 2, 2), np.complex128))
+    assert payoffs.shape == (0,)
+    assert per_qubit.shape == (0, n)
 
 
 def test_play_many_edge_cases():
