@@ -241,7 +241,7 @@ def cmd_payoff(ns) -> int:
         raise UsageError("payoff takes exactly one --channel")
     p = ns.p or 0.0
     setup, note = _sweep_setup(ns, "p", (p, p, 1))
-    angles, (corners,) = setup.block([p], setup.channels)
+    angles, corners = setup.block([p], setup.channels)
     if ns.identity_coins:
         angles[:] = 0.0
     else:

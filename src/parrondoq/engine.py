@@ -6,16 +6,17 @@ any game is played. A basis state's score is the sum of +1 per |1> (win) and
 +-1 expectations under a configurable counting convention (``_score``).
 
 ``play_arrays`` reads those expectations for many points of one sequence
-at once, given as arrays of coin angles and noise corners, from a
-left-to-right window sweep whose cost grows linearly with the number of
-games, which carries only the populations (window diagonals) the payoff
-reads and every point on a leading batch axis (``_window_expectations``),
-and scores every point in one pass. The figure sweeps call it block by
-block. ``play_many`` is the same for a list of (coin configuration, noise)
-points, as ``verify``'s checks use, and ``play`` its one-point case. The
-module is simulation only: it holds no 2^n x 2^n matrix (the dense route
-lives in ``reference``) and no closed form (the comparisons, the convention
-search included, live in ``verify``).
+at once, given as an array of noise corners and one of coin angle sets
+that runs of consecutive points share, from a left-to-right window sweep
+whose cost grows linearly with the number of games, which carries only
+the populations (window diagonals) the payoff reads and every point on a
+leading batch axis (``_window_expectations``), and scores every point in
+one pass. The figure sweeps call it once per chunk of grid values, for
+all of the chunk's channels. ``play_many`` is the same for a list of (coin
+configuration, noise) points, as ``verify``'s checks use, and ``play`` its
+one-point case. The module is simulation only: it holds no 2^n x 2^n
+matrix (the dense route lives in ``reference``) and no closed form (the
+comparisons, the convention search included, live in ``verify``).
 """
 from __future__ import annotations
 
@@ -93,16 +94,19 @@ _WEIGHTS = np.array([1.0, 2.0, 1.0])
 
 def _entry_factors(coins: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """Diagonals of c E c^H for every corner E ``(G, T, 2, 2)`` and every
-    coin c of one stack ``(G, C, 2, 2)`` or ``(1, C, 2, 2)``: shape
-    ``(G, T, C, 2)``. The coins' outer products
-    O[k, l, (c, i)] = c[c, i, k] c[c, i, l]^* are weighted by the corners'
-    entries E[k, l] in one matmul, so a size-1 stack builds its products
-    once and broadcasting serves every point."""
-    count, carried, size = len(corners), corners.shape[1], coins.shape[1]
+    coin c of A stacks ``(A, C, 2, 2)``, A dividing G, stack a serving the
+    G/A consecutive points starting at a * G/A: shape ``(G, T, C, 2)``.
+    The coins' outer products O[k, l, (c, i)] = c[c, i, k] c[c, i, l]^*
+    are built once per stack and weighted by the corners' entries E[k, l]
+    in one matmul per stack, so a single stack (A = 1, as p-sweeps pass
+    it) is one ``(G T, 4) @ (4, 2C)`` product."""
+    sets, count, carried, size = (len(coins), len(corners), corners.shape[1],
+                                  coins.shape[1])
     c = coins.transpose(0, 3, 1, 2)
     outer = c[:, :, None] * c.conj()[:, None]
-    return (corners.reshape(count, carried, 4)
-            @ outer.reshape(-1, 4, 2 * size)
+    # an empty batch may have no stack at all: max keeps the shape defined
+    return (corners.reshape(sets, count * carried // max(sets, 1), 4)
+            @ outer.reshape(sets, 4, 2 * size)
             ).reshape(count, carried, size, 2)
 
 
@@ -110,9 +114,9 @@ def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
                          coin_b: np.ndarray,
                          corners: np.ndarray) -> np.ndarray:
     """Per-qubit +-1 expectations, shape (G, n), of ``plan`` played at G
-    points: A coins ``(G, 2, 2)``, B's sub-coins ``(G, 4, 2, 2)`` and noise
-    corners ``(G, 4, 2, 2)`` (``noise.corner_stack``); coins of leading size
-    1 are the same at every point.
+    points: A coins ``(A, 2, 2)``, B's sub-coins ``(A, 4, 2, 2)`` and noise
+    corners ``(G, 4, 2, 2)`` (``noise.corner_stack``), where A divides G
+    and coin set a serves the G/A consecutive points starting at a * G/A.
 
     The noised state is 1/2 sum_{x,y} (x)_q E(|x><y|). Channels preserve
     Hermiticity, so the |1><0| corner stays the adjoint of |0><1|: only
@@ -170,17 +174,21 @@ def play_arrays(sequence: str, angles: np.ndarray, corners: np.ndarray,
                 convention: PayoffConvention = DEFAULT_CONVENTION
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Payoffs ``(G,)`` and per-qubit expectations ``(G, n)`` of one
-    sequence string at G points, from one batched window sweep: coin angles
-    ``(G, 5, 3)`` as ``coins.coin_angles`` gives them, or ``(1, 5, 3)`` for
-    one angle set at every point, and noise corners ``(G, 4, 2, 2)`` as
-    ``noise.corner_stack`` gives them. Any other shape is a ``ValueError``
-    before any work."""
+    sequence string at G points, from one batched window sweep: noise
+    corners ``(G, 4, 2, 2)`` as ``noise.corner_stack`` gives them, and A
+    coin angle sets ``(A, 5, 3)`` as ``coins.coin_angles`` gives them, A
+    dividing G: set a serves the G/A consecutive points starting at
+    a * G/A, so ``(1, 5, 3)`` is one set at every point and ``(G, 5, 3)``
+    one per point. The coins are built once per set. Any other shape is a
+    ``ValueError`` before any work."""
     angles, corners = np.asarray(angles), np.asarray(corners)
-    batch = corners.shape[:1]
-    if (corners.shape != batch + (4, 2, 2)
-            or angles.shape not in (batch + (5, 3), (1, 5, 3))):
+    # A divides G, and 0 divides only an empty batch
+    if (corners.shape[1:] != (4, 2, 2) or angles.shape[1:] != (5, 3)
+            or (len(corners) % len(angles) if len(angles)
+                else len(corners))):
         raise ValueError(f"angles {angles.shape} and corners {corners.shape}"
-                         " are not (G or 1, 5, 3) and (G, 4, 2, 2)")
+                         " are not (A, 5, 3) and (G, 4, 2, 2) with A"
+                         " dividing G")
     plan = parse_sequence(sequence)
     coins = coin_matrices(angles[..., 0], angles[..., 1], angles[..., 2])
     expectations = _window_expectations(plan, coins[:, 0], coins[:, 1:],

@@ -5,12 +5,13 @@ angle) over a uniform grid, recalibrating the coins at every point, and
 reports one payoff per (grid value, channel) pair. Rows are ordered
 grid-major, channel-minor. ``SweepSetup._knobs`` is the one place that
 turns game knobs into each point's calibration inputs and strength;
-``SweepSetup.block`` builds a chunk's coin angles once and each channel's
-noise corners from them as arrays, and ``SweepSetup.point`` builds one
-point's coin configuration and noise spec. A sweep with any out-of-domain
-point is refused when it is set up. ``sweep_rows`` walks the grid in chunks
-of at most ``SWEEP_BLOCK`` values and plays each chunk channel by channel,
-each as one batched window sweep (``engine.play_arrays``), as the CLI's
+``SweepSetup.block`` builds a chunk's coin angles once, shared by all of
+its channels, and the noise corners of its (value, channel) points in row
+order as arrays, and ``SweepSetup.point`` builds one point's coin
+configuration and noise spec. A sweep with any out-of-domain point is
+refused when it is set up. ``sweep_rows`` walks the grid in chunks of at
+most ``SWEEP_BLOCK`` values and plays each chunk, values times channels
+points, as one batched window sweep (``engine.play_arrays``), as the CLI's
 ``payoff`` plays its one point. ``payoff_text`` prints a payoff, as ``0``
 within 1e-14 of zero, for both. Presets 1-9 pin the parameter choices for
 the standard plots; preset 7 evaluates the repeated-sequence closed forms
@@ -85,11 +86,10 @@ class SweepSetup:
         """The values ``var`` takes, in order."""
         return np.linspace(self.start, self.stop, self.count)
 
-    def _knobs(self, values, channels):
-        """epsilon, delta, the strength on each of ``channels`` and the four
-        betas with ``var`` set to ``values``, each a scalar or one value per
-        point; a swept or explicit beta beats ``max_phases``, which beats
-        0."""
+    def _knobs(self, values):
+        """epsilon, delta, the channel strength and the four betas with
+        ``var`` set to ``values``, each a scalar or one value per point; a
+        swept or explicit beta beats ``max_phases``, which beats 0."""
         knobs = {"p": self.p, "eps": self.eps, "delta": self.delta}
         betas = list(self.betas)
         if self.var.startswith("beta"):
@@ -99,27 +99,30 @@ class SweepSetup:
         derived = (max_payoff_phases(knobs["delta"]) if self.max_phases
                    else (0.0, 0.0, 0.0, 0.0))
         betas = tuple(d if b is None else b for b, d in zip(betas, derived))
-        strengths = [knobs["p"]] * len(channels)
-        return knobs["eps"], knobs["delta"], strengths, betas
+        return knobs["eps"], knobs["delta"], knobs["p"], betas
 
-    def block(self, values, channels) -> tuple[np.ndarray, list]:
-        """Coin angles ``(G, 5, 3)`` of G points, with ``var`` set to
-        ``values[i]`` at point i, and per channel of ``channels`` their noise
-        corners ``(G, 4, 2, 2)``. A p-sweep's points share one angle set,
-        returned once, as ``(1, 5, 3)``; any other sweep's points share one
-        strength, whose corners are built once and broadcast."""
+    def block(self, values, channels) -> tuple[np.ndarray, np.ndarray]:
+        """Coin angles ``(g, 5, 3)`` of g grid values, with ``var`` set to
+        ``values[i]`` at value i, and the noise corners ``(g K, 4, 2, 2)``
+        of the g K points on the K ``channels``, point-major: value i on
+        channel k is row i K + k, as the CSV orders rows. Every channel
+        shares its value's angle set, and a p-sweep's values share one,
+        returned once, as ``(1, 5, 3)``; any other sweep's values share one
+        strength, whose corners are built once per channel and
+        broadcast."""
         values = np.asarray(values, dtype=float)
-        eps, delta, strengths, betas = self._knobs(values, channels)
+        eps, delta, p, betas = self._knobs(values)
         angles = coin_angles(eps, self.gamma, delta, self.alphas, betas,
                              self.assignment)
-        return angles, [np.broadcast_to(corner_stack(channel, p),
-                                        (len(values), 4, 2, 2))
-                        for channel, p in zip(channels, strengths)]
+        corners = np.stack([corner_stack(channel, p) for channel in channels],
+                           axis=1)
+        return angles, np.broadcast_to(
+            corners, (len(values),) + corners.shape[1:]).reshape(-1, 4, 2, 2)
 
     def point(self, value: float, channel: str) -> tuple[GameConfig, NoiseSpec]:
         """Coin configuration and noise spec of one point, from the same
         knob rule as ``block``."""
-        eps, delta, (p,), betas = self._knobs(value, [channel])
+        eps, delta, p, betas = self._knobs(value)
         cfg = calibrate_classical(eps, gamma=self.gamma, delta=delta,
                                   alphas=self.alphas, betas=betas,
                                   assignment=self.assignment)
@@ -150,7 +153,8 @@ class SweepSetup:
 
 
 #: Most grid values one batched play takes, so memory stays flat on long
-#: grids.
+#: grids. A chunk is played as one call of its values times its channels
+#: points.
 SWEEP_BLOCK = 64
 
 
@@ -161,9 +165,9 @@ def sweep_rows(setup: SweepSetup) -> list:
     for at in range(0, setup.count, SWEEP_BLOCK):
         chunk = slice(at, at + SWEEP_BLOCK)
         angles, corners = setup.block(grid[chunk], channels)
-        for column, stack in enumerate(corners):
-            payoffs[chunk, column] = play_arrays(
-                setup.sequence, angles, stack, setup.convention)[0]
+        played = play_arrays(setup.sequence, angles, corners,
+                             setup.convention)
+        payoffs[chunk] = played[0].reshape(-1, len(channels))
     values = np.repeat(grid, len(channels)).tolist()
     return list(zip([setup.var] * len(values), values,
                     list(channels) * setup.count, payoffs.ravel().tolist()))

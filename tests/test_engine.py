@@ -442,6 +442,8 @@ def test_play_arrays_is_play_many_on_angle_and_corner_arrays():
     ((1, 6, 3), (1, 4, 2, 2)),
     ((2, 5, 3), (3, 4, 2, 2)),
     ((1, 5, 3), (1, 3, 2, 2)),
+    ((3, 5, 3), (4, 4, 2, 2)),
+    ((0, 5, 3), (2, 4, 2, 2)),
 ])
 def test_play_arrays_refuses_bad_shapes_naming_both(angles, corners,
                                                      monkeypatch):
@@ -454,6 +456,39 @@ def test_play_arrays_refuses_bad_shapes_naming_both(angles, corners,
                     np.zeros(corners, dtype=np.complex128))
     assert str(angles) in str(err.value)
     assert str(corners) in str(err.value)
+
+
+def test_shared_angle_sets_equal_repeated_angles_bit_for_bit():
+    """A angle sets, set a serving the G/A consecutive points starting at
+    a * G/A, play exactly as the same sets repeated to one per point: 1-11
+    qubits, the four channels mixed in every batch, A in {1, 2, 3, 17}
+    with up to four points a set, and one set for 200 or more points."""
+    rng = np.random.default_rng(2121)
+    sizes = []
+    while len(sizes) < 200:
+        games = "".join(rng.choice(("A", "B"), size=int(rng.integers(1, 12))))
+        try:
+            n = parse_sequence(games).total_qubits
+        except SizeLimitError:
+            continue
+        if len(sizes) % 5:
+            sets = int(rng.choice([1, 2, 3, 17]))
+            count = sets * int(rng.integers(1, 5))
+        else:
+            sets, count = 1, int(rng.integers(200, 301))
+        # every kind at every fourth point, in random order
+        kinds = rng.permutation(np.resize(KINDS, count))
+        corners = corner_stack([str(k) for k in kinds],
+                               rng.uniform(0, 1, count))
+        angles = rng.uniform(-PI, 2 * PI, (sets, 5, 3))
+        conv = CONVENTION_NAMES[str(rng.choice(list(CONVENTION_NAMES)))]
+        got = play_arrays(games, angles, corners, conv)
+        want = play_arrays(games, np.repeat(angles, count // sets, axis=0),
+                           corners, conv)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w), (games, sets, count)
+        sizes.append(n)
+    assert set(sizes) == set(range(1, MAX_QUBITS + 1))
 
 
 def full_window_expectations(plan, coin_a, coin_b, corners):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parrondoq import figures
+from parrondoq import engine, figures
 from parrondoq.coins import (SizeLimitError, calibrate_classical,
                              max_payoff_phases)
 from parrondoq.engine import CONVENTION_NAMES, PayoffConvention, play
@@ -202,20 +202,24 @@ def test_sweep_rows_equal_single_point_plays_exactly(var, max_phases):
 
 def test_block_is_the_one_point_rule_at_every_point():
     for var in ("delta", "p"):
-        setup = random_setup(np.random.default_rng(5), var)
-        values = setup.grid()
-        angles, corners = setup.block(values, setup.channels)
+        # several values on every channel, so a channel-major block shows
+        setup = dataclasses.replace(
+            random_setup(np.random.default_rng(5), var), count=7,
+            channels=("pd", "ad", "none", "dp"))
+        values, channels = setup.grid(), setup.channels
+        angles, corners = setup.block(values, channels)
         # a p-sweep block holds its one angle set once
         assert len(angles) == (1 if var == "p" else len(values))
-        assert len(corners) == len(setup.channels)
-        for value, row, *stacks in zip(
-                values.tolist(), np.broadcast_to(angles, (len(values), 5, 3)),
-                *corners):
-            for channel, corner in zip(setup.channels, stacks):
+        # row i K + k is value i on channel k, the CSV's row order
+        assert corners.shape == (len(values) * len(channels), 4, 2, 2)
+        for i, (value, row) in enumerate(zip(
+                values.tolist(),
+                np.broadcast_to(angles, (len(values), 5, 3)))):
+            for k, channel in enumerate(channels):
                 cfg, spec = setup.point(value, channel)
                 assert row.tolist() == [[c.theta, c.gamma, c.delta]
                                         for c in (cfg.coin_a, *cfg.coin_b)]
-                assert np.array_equal(corner,
+                assert np.array_equal(corners[i * len(channels) + k],
                                       corner_stack(spec.kind, spec.p)[0])
 
 
@@ -230,40 +234,45 @@ def test_sweep_block_boundaries_do_not_change_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("block", [7, 64])
-def test_sweep_plays_each_chunk_channel_by_channel(monkeypatch, block):
-    """A chunk of grid values builds its coin angles once and shares them
-    across channels; each channel builds its corners from one kind and
-    plays at most ``SWEEP_BLOCK`` points."""
-    calls = {"angles": [], "kinds": [], "points": []}
+def test_sweep_plays_each_chunk_in_one_call(monkeypatch, block):
+    """A chunk of grid values builds its coin angles once, shares them across
+    its channels, builds each channel's corners from one kind and plays all
+    of its (value, channel) points in one call, which builds its coins once
+    per angle set."""
+    calls = {"angles": [], "kinds": [], "points": [], "sets": []}
 
-    def counted(name, fn, record):
+    def counted(module, name, log, record):
+        fn = getattr(module, name)
+
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
-            calls[name].append(record(args, result))
+            calls[log].append(record(args, result))
             return result
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
     monkeypatch.setattr(figures, "SWEEP_BLOCK", block)
-    monkeypatch.setattr(figures, "coin_angles", counted(
-        "angles", figures.coin_angles, lambda args, result: len(result)))
-    monkeypatch.setattr(figures, "corner_stack", counted(
-        "kinds", figures.corner_stack, lambda args, result: args[0]))
-    monkeypatch.setattr(figures, "play_arrays", counted(
-        "points", figures.play_arrays, lambda args, result: len(result[0])))
+    counted(figures, "coin_angles", "angles",
+            lambda args, result: len(result))
+    counted(figures, "corner_stack", "kinds",
+            lambda args, result: args[0])
+    counted(figures, "play_arrays", "points",
+            lambda args, result: len(result[0]))
+    counted(engine, "coin_matrices", "sets",
+            lambda args, result: len(result))
     chunks = -(-GRID_POINTS // block)
+    sizes = [min(block, GRID_POINTS - at)
+             for at in range(0, GRID_POINTS, block)]
     for number, shared_angles in ((2, False), (1, True)):
         for log in calls.values():
             log.clear()
         setup = FIGURES[number]
         sweep_rows(setup)
-        assert len(calls["angles"]) == chunks
-        if shared_angles:              # a p-sweep: one angle set per chunk
-            assert calls["angles"] == [1] * chunks
+        want_sets = [1] * chunks if shared_angles else sizes
+        assert calls["angles"] == want_sets
         assert calls["kinds"] == list(setup.channels) * chunks
         assert all(isinstance(kind, str) for kind in calls["kinds"])
-        assert len(calls["points"]) == len(setup.channels) * chunks
-        assert max(calls["points"]) <= block
-        assert sum(calls["points"]) == GRID_POINTS * len(setup.channels)
+        assert calls["points"] == [g * len(setup.channels) for g in sizes]
+        assert calls["sets"] == want_sets
 
 
 def test_rows_to_csv_format():
