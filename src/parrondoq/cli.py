@@ -3,8 +3,11 @@
 Subcommands: ``payoff`` (one game sequence, one number), ``sweep`` (CSV over
 a parameter grid), ``figure`` (preset sweeps 1-9), ``verify`` (cross-check
 registry); ``payoff`` is the one-point ``sweep`` of the same flags, plus
-fixed-coin overrides. Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 register size limit, 4 calibration failure.
+fixed-coin overrides. The game flags are the knobs a payoff can depend on;
+gamma and the alphas, the coins' gamma phases, cancel from every payoff, so
+they have no flag and stay 0 (``coins.coin_angles`` still takes them).
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 register
+size limit, 4 calibration failure.
 
 Angles accept multiples of pi ("pi/5", "2pi/3", "-pi/2") as well as plain
 floats and fractions of them ("0.25", ".5", "1e-3", "1/168").
@@ -99,11 +102,9 @@ _KNOBS = (
     ("game", "eps", dict(type=parse_angle, metavar="E",
                          help="classical bias offset (e.g. 1/168)")),
     ("game", _COIN_OVERRIDES[0], _COIN_ANGLE),
-    ("game", "gamma", _ANGLE),
     ("game", "delta", _ANGLE),
     *(("game", name, _COIN_ANGLE) for name in _COIN_OVERRIDES[1:]),
-    *(("game", f"{name}{i}", _ANGLE) for name in ("alpha", "beta")
-      for i in range(1, 5)),
+    *(("game", f"beta{i}", _ANGLE) for i in range(1, 5)),
     ("game", "max_phases", dict(_SWITCH, help="set the four beta phases to "
                                 "the payoff-maximizing choice for delta")),
     ("game", "identity_coins", dict(_SWITCH, help="replace both coins with "
@@ -225,9 +226,7 @@ def _sweep_setup(ns, var: str, grid: tuple) -> tuple:
     setup = SweepSetup(
         sequence=ns.seq, var=var, start=start, stop=stop, count=count,
         channels=tuple(ns.channel or ("none",)),
-        p=ns.p or 0.0, eps=ns.eps or 0.0,
-        gamma=ns.gamma or 0.0, delta=ns.delta or 0.0,
-        alphas=tuple(getattr(ns, f"alpha{i}") or 0.0 for i in range(1, 5)),
+        p=ns.p or 0.0, eps=ns.eps or 0.0, delta=ns.delta or 0.0,
         betas=tuple(getattr(ns, f"beta{i}") for i in range(1, 5)),
         max_phases=bool(ns.max_phases), assignment=assignment,
         convention=convention)

@@ -48,7 +48,10 @@ class SweepSetup:
     """One sweep: the varied quantity, its grid, and the fixed game knobs.
 
     A beta left as None is derived: from delta under ``max_phases``, else 0.
-    An explicit or swept beta always wins.
+    An explicit or swept beta always wins. The coins' gamma phases (gamma
+    and the alphas of ``coin_angles``) are 0: each is a diagonal phase on
+    the qubit its game writes, which later games only read as history, so
+    no payoff depends on them.
     """
     sequence: str
     var: str
@@ -58,9 +61,7 @@ class SweepSetup:
     channels: tuple = ("none",)
     p: float = 0.0
     eps: float = 0.0
-    gamma: float = 0.0
     delta: float = 0.0
-    alphas: tuple = (0.0, 0.0, 0.0, 0.0)
     betas: tuple = (None, None, None, None)
     max_phases: bool = False       # re-derive unset betas from delta
     assignment: str = "printed"
@@ -112,8 +113,8 @@ class SweepSetup:
         broadcast."""
         values = np.asarray(values, dtype=float)
         eps, delta, p, betas = self._knobs(values)
-        angles = coin_angles(eps, self.gamma, delta, self.alphas, betas,
-                             self.assignment)
+        angles = coin_angles(eps, delta=delta, betas=betas,
+                             assignment=self.assignment)
         corners = np.stack([corner_stack(channel, p) for channel in channels],
                            axis=1)
         return angles, np.broadcast_to(
@@ -123,8 +124,7 @@ class SweepSetup:
         """Coin configuration and noise spec of one point, from the same
         knob rule as ``block``."""
         eps, delta, p, betas = self._knobs(value)
-        cfg = calibrate_classical(eps, gamma=self.gamma, delta=delta,
-                                  alphas=self.alphas, betas=betas,
+        cfg = calibrate_classical(eps, delta=delta, betas=betas,
                                   assignment=self.assignment)
         return cfg, NoiseSpec(channel, float(p))
 

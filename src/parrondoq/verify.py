@@ -30,6 +30,7 @@ The payoff-convention search lives here too: one residual table
 chains, with the chain checks' points (``_chain_points``), eps pair and
 per-length tolerances. ``discover_convention`` picks the one cell that fits
 the anchor rows; ``check_convention_search`` finds no direct cell that fits.
+Within one ``run_all`` the two checks read one table.
 
 ``run_all`` executes the registry and records each check's wall time on its
 result; the CLI renders one line per check and exits nonzero only on hard
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
@@ -349,13 +351,29 @@ class ConventionFinding:
     anchor_rows: tuple[str, ...]   # rows the search matched on
 
 
+#: What the checks of the ``run_all`` running in this context share; None
+#: outside a run, so nothing a run shares outlives it.
+_RUN: ContextVar[dict | None] = ContextVar("verify_run", default=None)
+
+
 def _chain_search() -> dict:
     """The residual table of every candidate, a probability order and an
     engine convention: "order/convention" -> {"seq:channel": max |simulated
-    - reference| over both eps and p in {0, 0.25, 0.5}}.
+    - reference| over both eps and p in {0, 0.25, 0.5}}. One ``run_all``
+    plays it once, for both convention checks; outside a run every call
+    plays it."""
+    run = _RUN.get()
+    if run is None:
+        return _play_chain_search()
+    if "chain_search" not in run:
+        run["chain_search"] = _play_chain_search()
+    return run["chain_search"]
 
-    Each chain sequence is played once, as one batch over both orders, eps,
-    strength and channel; every convention scores that batch."""
+
+def _play_chain_search() -> dict:
+    """``_chain_search``'s table. Each chain sequence is played once, as one
+    batch over both orders, eps, strength and channel; every convention
+    scores that batch."""
     kinds, orders = ("ad", "dp", "pd"), ("printed", "canonical")
     table = {f"{order}/{name}": {} for order in orders
              for name in CONVENTION_NAMES}
@@ -630,13 +648,17 @@ CHECKS = tuple(check for name, check in globals().items()
 
 def run_all() -> list:
     """Every check's result, in registry order, each carrying its wall time
-    in ``elapsed``."""
-    results = []
-    for check in CHECKS:
-        start = time.perf_counter()
-        result = check()
-        results.append(replace(result,
-                               elapsed=time.perf_counter() - start))
+    in ``elapsed``. The checks share one ``_chain_search`` table, for this
+    run only."""
+    results, token = [], _RUN.set({})
+    try:
+        for check in CHECKS:
+            start = time.perf_counter()
+            result = check()
+            results.append(replace(result,
+                                   elapsed=time.perf_counter() - start))
+    finally:
+        _RUN.reset(token)
     return results
 
 

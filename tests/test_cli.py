@@ -228,8 +228,7 @@ def test_sweep_beta_with_max_phases_varies(capsys):
     ["--seq", "AAB", "--eps", "1/168", "--delta", "pi/5", "--max-phases",
      "--beta1", "pi/2", "--channel", "pd", "--p", "0.5"],
     ["--seq", "AAB", "--eps", "1/168", "--delta", "pi/5", "--beta1", "pi/2",
-     "--beta3", "pi/4", "--alpha2", "pi/3", "--gamma", "0.3",
-     "--channel", "dp", "--p", "0.25"],
+     "--beta3", "pi/4", "--channel", "dp", "--p", "0.25"],
     # rounding noise about an exact zero prints as 0 on both
     ["--seq", "AA", "--eps", "1/168", "--channel", "dp", "--p", "0.5"],
     ["--seq", "AAB", "--eps", "1/168", "--channel", "dp", "--p", "1"],
@@ -308,6 +307,36 @@ def test_figure_to_file_deterministic(tmp_path):
 def test_figure_has_no_jobs_flag(capsys):
     assert cli.main(["figure", "1", "--jobs", "2"]) == 2
     capsys.readouterr()
+
+
+#: The coin phases no payoff depends on, which have no flag.
+NO_FLAG_PHASES = ("gamma", "alpha1", "alpha2", "alpha3", "alpha4")
+
+
+@pytest.mark.parametrize("command", ["payoff", "sweep"])
+@pytest.mark.parametrize("name", NO_FLAG_PHASES)
+def test_inert_phases_have_no_flag(capsys, command, name):
+    argv = [command, "--seq", "AAB", f"--{name}", "0.3"]
+    if command == "sweep":
+        argv += ["--var", "p", "--grid", "0:1:2"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert f"--{name}" in err
+
+
+def test_inert_phase_config_keys_are_ignored(tmp_path, capsys):
+    """An old config file that still sets gamma or an alpha prints what the
+    file without them prints, even for values no coin would accept."""
+    good = "[game]\nseq = AAB\neps = 1/168\n[noise]\nchannel = ad\np = 0.25\n"
+    printed = []
+    for text in (good, good.replace("[noise]", "gamma = 7\nalpha2 = 0.5\n"
+                                              "[noise]")):
+        ini = tmp_path / "game.ini"
+        ini.write_text(text)
+        assert cli.main(["payoff", "--config", str(ini)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] == "payoff=-0.0272548191263\n"
 
 
 def test_figure_rejects_bad_number(capsys):
@@ -410,15 +439,12 @@ def test_config_choice_is_checked_under_every_command(tmp_path, capsys,
 
 
 #: A value for every knob, unlike the base runs' own, so that each one
-#: changes what ``payoff`` or ``sweep`` prints. The payoff does not depend
-#: on gamma or the alphas, so those get a value outside [0, 2pi]: the error
-#: it raises shows the key was read.
+#: changes what ``payoff`` or ``sweep`` prints.
 KNOB_VALUES = {
-    "seq": "B^2", "eps": "1/112", "theta": "pi/7", "gamma": "7",
-    "delta": "pi/5", "phi1": "pi/7", "phi2": "pi/9", "phi3": "pi/11",
-    "phi4": "pi/13", "alpha1": "7", "alpha2": "7", "alpha3": "7",
-    "alpha4": "7", "beta1": "pi/2", "beta2": "pi/3", "beta3": "pi/4",
-    "beta4": "pi/5", "max_phases": True, "identity_coins": True,
+    "seq": "B^2", "eps": "1/112", "theta": "pi/7", "delta": "pi/5",
+    "phi1": "pi/7", "phi2": "pi/9", "phi3": "pi/11", "phi4": "pi/13",
+    "beta1": "pi/2", "beta2": "pi/3", "beta3": "pi/4", "beta4": "pi/5",
+    "max_phases": True, "identity_coins": True,
     "canonical": True, "convention": "all-perqubit", "channel": "dp",
     "p": "0.5", "var": "delta", "grid": "0:0.5:2", "out": "knob.csv",
 }
@@ -468,8 +494,12 @@ def test_missing_config_file(capsys):
 
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
-    assert cli.main(["payoff", "--help"]) == 0
     capsys.readouterr()
+    assert cli.main(["payoff", "--help"]) == 0
+    text = capsys.readouterr().out
+    # every game flag, and no flag for the phases no payoff depends on
+    assert "--beta1" in text
+    assert "--gamma" not in text and "--alpha" not in text
 
 
 def test_verify_command_exits_zero(capsys):

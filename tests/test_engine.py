@@ -416,6 +416,38 @@ def test_play_many_equals_per_point_plays_exactly():
                 f"{sequence} {name}"
 
 
+def test_no_expectation_depends_on_gamma_or_the_alphas():
+    """gamma and the alphas are diagonal phases on the qubit a game writes,
+    which later games only read as history, so they cancel from every
+    per-qubit expectation: random ones give what zero ones give, on random
+    plans up to the full register, on every channel, under both
+    probability orders and every convention. This is why the CLI and
+    ``SweepSetup`` have no such knob."""
+    rng = np.random.default_rng(2002)
+    sequences = [seq for seq, _, _ in random_cases(314, 30)] + ["B^9", "A^11"]
+    for sequence in sequences:
+        phased, zero = [], []
+        for assignment in ("printed", "canonical"):
+            for kind in KINDS:
+                eps = float(rng.uniform(0.0, 0.1))
+                delta = float(rng.uniform(0.0, 2 * PI))
+                betas = tuple(float(b) for b in rng.uniform(0, 2 * PI, 4))
+                noise = NoiseSpec(kind, float(rng.uniform()))
+                phased.append((calibrate_classical(
+                    eps, gamma=float(rng.uniform(0.0, 2 * PI)), delta=delta,
+                    alphas=tuple(float(a) for a in rng.uniform(0, 2 * PI, 4)),
+                    betas=betas, assignment=assignment), noise))
+                zero.append((calibrate_classical(
+                    eps, delta=delta, betas=betas, assignment=assignment),
+                    noise))
+        for name, conv in CONVENTION_NAMES.items():
+            for got, want in zip(play_many(sequence, phased, conv),
+                                 play_many(sequence, zero, conv),
+                                 strict=True):
+                assert np.abs(np.subtract(got.per_qubit, want.per_qubit)
+                              ).max() <= 1e-14, f"{sequence} {name}"
+
+
 def test_play_arrays_is_play_many_on_angle_and_corner_arrays():
     rng = np.random.default_rng(8)
     cfg = fig1_config()

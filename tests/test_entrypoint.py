@@ -27,6 +27,9 @@ CONFIGS = {
     "good.ini": "[game]\nseq = AAB\neps = 1/168\n[noise]\nchannel = ad\n"
                 "p = 0.25\n",
     "bad.ini": "[game]\nseq = AAB\n[noise]\nchannel = bogus\n",
+    # an old file that sets the gamma phases, which no longer have keys
+    "legacy.ini": "[game]\nseq = AAB\neps = 1/168\ngamma = 0.3\n"
+                  "alpha2 = pi/3\n[noise]\nchannel = ad\np = 0.25\n",
 }
 
 #: The step's shell variables, by the word it expands; ``{tmp}`` is the
@@ -35,6 +38,7 @@ VARIABLES = {
     "$zero": "--seq AA --eps 1/168 --channel dp --p 0.5".split(),
     "$good": ["{tmp}/good.ini"],
     "$bad": ["{tmp}/bad.ini"],
+    "$legacy": ["{tmp}/legacy.ini"],
     "$nest": ["(" * 500 + "A" + ")^999999999" * 500],
     "$RUNNER_TEMP/f2.csv": ["{tmp}/f2.csv"],
 }
@@ -56,6 +60,7 @@ STEP = [
     ("payoff --seq A --eps 1/168 --channel dp --p 0.25", 0, 1,
      {1: "payoff=0.749946851858"}),
     ('payoff --config "$good"', 0, 1, {1: "payoff=-0.0272548191263"}),
+    ('payoff --config "$legacy"', 0, 1, {1: "payoff=-0.0272548191263"}),
     ('payoff --config "$bad"', 2, 0, {}),
     ("payoff --seq AAB --p 7", 2, 0, {}),
     ("sweep --seq AAB --var p --grid 0:3:4", 2, 0, {}),

@@ -48,13 +48,13 @@ OUT_OF_DOMAIN = [
                                                        "[0, 2pi]"),
     (dict(var="beta3", start=2 * PI, stop=7.0, count=4, channels=("ad",)),
      f"delta {np.linspace(2 * PI, 7.0, 4)[1]} outside [0, 2pi]"),
-    (dict(var="beta2", start=0.0, stop=7.0, count=8, gamma=7.0),
-     "gamma 7.0 outside [0, 2pi]"),
+    (dict(var="beta2", start=0.0, stop=7.0, count=8, delta=7.0),
+     "delta 7.0 outside [0, 2pi]"),
     (dict(var="eps", start=0.0, stop=0.05, count=3, p=1.5,
           channels=("none", "dp")), "p 1.5 outside [0, 1]"),
     (dict(var="eps", start=0.0, stop=0.05, count=3, p=1.5,
-          channels=("dp",), alphas=(0.0, 0.0, 0.0, -2.0)),
-     "gamma -2.0 outside [0, 2pi]"),
+          channels=("dp",), betas=(0.0, 0.0, 0.0, -2.0)),
+     "delta -2.0 outside [0, 2pi]"),
     (dict(var="p", start=-1.0, stop=1.0, count=5, channels=("none",)),
      "p -1.0 outside [0, 1]"),
 ]
@@ -164,9 +164,7 @@ def random_setup(rng, var):
         start, stop, int(rng.integers(1, 12)),
         tuple(kinds[:int(rng.integers(1, 5))]),
         p=float(rng.uniform()), eps=float(rng.uniform(0.0, 0.1)),
-        gamma=float(rng.uniform(0.0, 2 * PI)),
         delta=float(rng.uniform(0.0, 2 * PI)),
-        alphas=tuple(float(a) for a in rng.uniform(0.0, 2 * PI, 4)),
         betas=tuple(None if rng.uniform() < 0.5 else float(b)
                     for b in rng.uniform(0.0, 2 * PI, 4)),
         max_phases=bool(rng.integers(2)),

@@ -64,10 +64,10 @@ def test_format_report(registry):
 
 def test_run_all_batches_every_grid(monkeypatch):
     """Each grid check plays its points as one ``play_many`` per sequence,
-    and each convention check's search plays one batch per chain sequence.
-    Only ``performance_9q_pipeline`` times a single ``play``. Before the
-    checks were batched, one ``run_all`` made 368 single-point ``play``
-    calls and 402 window sweeps."""
+    and the convention checks share one search, which plays one batch per
+    chain sequence. Only ``performance_9q_pipeline`` times a single
+    ``play``. Before the checks were batched, one ``run_all`` made 368
+    single-point ``play`` calls and 402 window sweeps."""
     calls = {"play": 0, "sweep": 0}
 
     def counted(name, fn):
@@ -82,6 +82,24 @@ def test_run_all_batches_every_grid(monkeypatch):
     verify.run_all()
     assert calls["play"] == 1
     assert calls["sweep"] <= 50
+
+
+def test_one_run_plays_the_convention_search_once(monkeypatch):
+    """Both convention checks of a run read one search table, and no table
+    outlives its run: the next run, and a search outside any run, play the
+    search afresh."""
+    plays = []
+    play = verify._play_chain_search
+    monkeypatch.setattr(verify, "_play_chain_search",
+                        lambda: plays.append(1) or play())
+    monkeypatch.setattr(verify, "CHECKS", (verify.check_convention_search,
+                                           verify.check_convention_discovery))
+    first = verify.run_all()
+    assert len(plays) == 1
+    assert verify.run_all() == first
+    assert len(plays) == 2
+    verify.discover_convention()
+    assert len(plays) == 3
 
 
 def test_run_all_records_each_check_time(timed_registry):
