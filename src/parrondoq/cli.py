@@ -7,7 +7,8 @@ fixed-coin overrides. The game flags are the knobs a payoff can depend on;
 gamma and the alphas, the coins' gamma phases, cancel from every payoff, so
 they have no flag and stay 0 (``coins.coin_angles`` still takes them).
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 register
-size limit, 4 calibration failure.
+size limit. Only the ``verify`` command calls into the ``verify`` module;
+the paper's chain convention is ``--canonical --convention all-perqubit``.
 
 Angles accept multiples of pi ("pi/5", "2pi/3", "-pi/2") as well as plain
 floats and fractions of them ("0.25", ".5", "1e-3", "1/168").
@@ -16,8 +17,10 @@ floats and fractions of them ("0.25", ".5", "1e-3", "1/168").
 ``[sweep]`` keys are the flags' dests (``max_phases = true``), each read
 through its flag's own type and choices as declared once in ``_KNOBS``: a
 repeatable flag takes a comma-separated list, a switch an INI boolean.
-Explicit flags win and undeclared keys are ignored. A file that is not INI,
-or a value its flag refuses, is a usage error naming the file and the key.
+Explicit flags win and undeclared keys are ignored, except the removed
+``[game] identity_coins``, which would otherwise silently play calibrated
+coins. A file that is not INI, a value its flag refuses or that removed key
+is a usage error naming the file and the key.
 """
 from __future__ import annotations
 
@@ -33,8 +36,7 @@ from .engine import CONVENTION_NAMES, play_arrays
 from .figures import (SWEEP_VARS, SweepSetup, figure_csv, payoff_text,
                       rows_to_csv, sweep_rows)
 from .noise import KINDS
-from .verify import (CalibrationError, discover_convention, format_report,
-                     run_all)
+from .verify import format_report, run_all
 
 #: An unsigned plain float: "5", "5.", ".5", "2.5", "1e-3", "2.5E-1".
 _FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?"
@@ -107,13 +109,10 @@ _KNOBS = (
     *(("game", f"beta{i}", _ANGLE) for i in range(1, 5)),
     ("game", "max_phases", dict(_SWITCH, help="set the four beta phases to "
                                 "the payoff-maximizing choice for delta")),
-    ("game", "identity_coins", dict(_SWITCH, help="replace both coins with "
-                                    "the identity")),
     ("game", "canonical", dict(_SWITCH, help="assign the four winning "
                                "probabilities in reversed list order")),
-    ("game", "convention", dict(choices=sorted(CONVENTION_NAMES) + ["auto"],
-                                help="payoff counting convention (auto = "
-                                     "run the convention search)")),
+    ("game", "convention", dict(choices=sorted(CONVENTION_NAMES),
+                                help="payoff counting convention")),
     ("noise", "channel", dict(action="append", choices=KINDS,
                               help="noise channel")),
     ("noise", "p", dict(type=parse_angle, metavar="P",
@@ -181,13 +180,16 @@ def _config_value(section: configparser.SectionProxy, dest: str, kw: dict):
 def _merge_config(ns: argparse.Namespace) -> None:
     """Fill unset flags from the config file; explicit flags win. Every
     declared key is read, whatever the subcommand; other keys are
-    ignored."""
+    ignored, but ``[game] identity_coins`` is refused."""
     if not getattr(ns, "config", None):
         return
     cp, where = configparser.ConfigParser(), ""
     try:
         with open(ns.config, encoding="utf-8") as fh:
             cp.read_file(fh)
+        if cp.has_option("game", "identity_coins"):
+            where = "[game] identity_coins: "
+            raise ValueError("removed; set theta and phi1..phi4 to 0")
         for section, dest, kw in _KNOBS:
             if cp.has_option(section, dest):
                 where = f"[{section}] {dest}: "
@@ -203,34 +205,17 @@ class UsageError(Exception):
     pass
 
 
-def _resolve_convention(ns) -> tuple:
-    """Returns (convention, assignment, note_line_or_None)."""
-    assignment = "canonical" if getattr(ns, "canonical", None) else "printed"
-    name = ns.convention or "all-total"
-    if name == "auto":
-        finding = discover_convention()
-        convention = finding.convention
-        assignment = finding.assignment
-        note = (f"convention={convention.name} assignment={assignment}")
-        return convention, assignment, note
-    return CONVENTION_NAMES[name], assignment, None
-
-
-def _sweep_setup(ns, var: str, grid: tuple) -> tuple:
-    """The game knobs of ``ns`` as a sweep of ``var`` over ``grid``.
-
-    Returns (setup, convention note or None).
-    """
-    convention, assignment, note = _resolve_convention(ns)
+def _sweep_setup(ns, var: str, grid: tuple) -> SweepSetup:
+    """The game knobs of ``ns`` as a sweep of ``var`` over ``grid``."""
     start, stop, count = grid
-    setup = SweepSetup(
+    return SweepSetup(
         sequence=ns.seq, var=var, start=start, stop=stop, count=count,
         channels=tuple(ns.channel or ("none",)),
         p=ns.p or 0.0, eps=ns.eps or 0.0, delta=ns.delta or 0.0,
         betas=tuple(getattr(ns, f"beta{i}") for i in range(1, 5)),
-        max_phases=bool(ns.max_phases), assignment=assignment,
-        convention=convention)
-    return setup, note
+        max_phases=bool(ns.max_phases),
+        assignment="canonical" if ns.canonical else "printed",
+        convention=CONVENTION_NAMES[ns.convention or "all-total"])
 
 
 def cmd_payoff(ns) -> int:
@@ -239,17 +224,12 @@ def cmd_payoff(ns) -> int:
     if ns.channel and len(ns.channel) != 1:
         raise UsageError("payoff takes exactly one --channel")
     p = ns.p or 0.0
-    setup, note = _sweep_setup(ns, "p", (p, p, 1))
+    setup = _sweep_setup(ns, "p", (p, p, 1))
     angles, corners = setup.block([p], setup.channels)
-    if ns.identity_coins:
-        angles[:] = 0.0
-    else:
-        for row, name in enumerate(_COIN_OVERRIDES):
-            if (theta := getattr(ns, name)) is not None:
-                angles[:, row, 0] = theta
+    for row, name in enumerate(_COIN_OVERRIDES):
+        if (theta := getattr(ns, name)) is not None:
+            angles[:, row, 0] = theta
     payoffs = play_arrays(setup.sequence, angles, corners, setup.convention)[0]
-    if note:
-        print(note)
     print(f"payoff={payoff_text(payoffs[0])}")
     return 0
 
@@ -267,19 +247,13 @@ def cmd_sweep(ns) -> int:
         raise UsageError("sweep requires --seq")
     if not ns.var or not ns.grid:
         raise UsageError("sweep requires --var and --grid")
-    # an angle of 0 is an override too; a config's identity_coins = false
-    # is not
-    fixed = [k for k in (*_COIN_OVERRIDES, "identity_coins")
-             if getattr(ns, k, None) is not None
-             and getattr(ns, k) is not False]
+    # an angle of 0 is an override too
+    fixed = [k for k in _COIN_OVERRIDES if getattr(ns, k) is not None]
     if fixed:
         raise UsageError("sweep recalibrates the coins at each grid point; "
-                         f"--{fixed[0].replace('_', '-')} applies to "
-                         "`payoff` only")
-    setup, note = _sweep_setup(ns, ns.var, ns.grid)
-    if note:
-        print(note, file=sys.stderr)
-    _write_csv(rows_to_csv(sweep_rows(setup)), ns.out)
+                         f"--{fixed[0]} applies to `payoff` only")
+    _write_csv(rows_to_csv(sweep_rows(_sweep_setup(ns, ns.var, ns.grid))),
+               ns.out)
     return 0
 
 
@@ -316,9 +290,6 @@ def main(argv=None) -> int:
     except SizeLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except CalibrationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from parrondoq import cli
-from parrondoq.coins import CoinParams
-from parrondoq.engine import play
+from parrondoq.coins import CoinParams, GameConfig
+from parrondoq.engine import CONVENTION_NAMES, play
 from parrondoq.figures import SweepSetup, payoff_text
-from parrondoq.noise import KINDS
+from parrondoq.noise import KINDS, NoiseSpec
 
 PI = math.pi
 
@@ -80,7 +80,9 @@ def test_payoff_fig1_value(capsys):
 
 
 def test_payoff_identity_coins(capsys):
-    rc = cli.main(["payoff", "--seq", "B", "--identity-coins"])
+    """All five rotations at 0 play the identity coins."""
+    rc = cli.main(["payoff", "--seq", "B", "--theta", "0", "--phi1", "0",
+                   "--phi2", "0", "--phi3", "0", "--phi4", "0"])
     assert rc == 0
     assert last_payoff(capsys) == 0.0
 
@@ -91,15 +93,6 @@ def test_payoff_canonical_perqubit_single_b(capsys):
                    "--convention", "all-perqubit"])
     assert rc == 0
     assert last_payoff(capsys) == pytest.approx(1 / 15, abs=1e-12)
-
-
-def test_payoff_auto_convention_reports_discovery(capsys):
-    rc = cli.main(["payoff", "--seq", "B", "--channel", "pd", "--p", "0.7",
-                   "--eps", "1/168", "--convention", "auto"])
-    assert rc == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "convention=all-perqubit assignment=canonical"
-    assert float(out[1].split("=")[1]) == pytest.approx(1 / 15, abs=1e-12)
 
 
 def test_payoff_default_single_a_wins(capsys):
@@ -257,28 +250,55 @@ def test_payoff_overrides_equal_the_game_config_route(capsys):
         overrides = {name: float(rng.uniform(-PI, PI))
                      for name in ("theta", "phi1", "phi2", "phi3", "phi4")
                      if rng.integers(2)}
-        identity = rng.uniform() < 0.2
         flags = [f"--seq={seq}", f"--channel={channel}", f"--p={p!r}",
                  f"--eps={eps!r}", f"--delta={delta!r}",
                  *(f"--{name}={value!r}" for name, value in overrides.items()),
-                 *(["--max-phases"] if max_phases else []),
-                 *(["--identity-coins"] if identity else [])]
+                 *(["--max-phases"] if max_phases else [])]
         assert cli.main(["payoff", *flags]) == 0
 
         setup = SweepSetup(seq, "p", p, p, 1, (channel,), p=p, eps=eps,
                            delta=delta, max_phases=max_phases)
         cfg, spec = setup.point(p, channel)
-        if identity:
-            zero = CoinParams(0.0, 0.0, 0.0)
-            cfg = replace(cfg, coin_a=zero, coin_b=(zero,) * 4)
-        else:
-            if "theta" in overrides:
-                cfg = replace(cfg, coin_a=replace(cfg.coin_a,
-                                                  theta=overrides["theta"]))
-            cfg = replace(cfg, coin_b=tuple(
-                replace(coin, theta=overrides.get(f"phi{i}", coin.theta))
-                for i, coin in enumerate(cfg.coin_b, start=1)))
+        if "theta" in overrides:
+            cfg = replace(cfg, coin_a=replace(cfg.coin_a,
+                                              theta=overrides["theta"]))
+        cfg = replace(cfg, coin_b=tuple(
+            replace(coin, theta=overrides.get(f"phi{i}", coin.theta))
+            for i, coin in enumerate(cfg.coin_b, start=1)))
         want = payoff_text(play(seq, cfg, spec).payoff)
+        assert capsys.readouterr().out == f"payoff={want}\n", flags
+
+
+def test_zero_rotations_print_the_identity_coins_payoff(capsys):
+    """With all five rotations set to 0, ``payoff`` prints what the identity
+    coins print under ``engine.play``, whatever the phases: a coin with no
+    rotation is diagonal, it moves no population, and a payoff reads only
+    populations."""
+    rng = np.random.default_rng(2002)
+    zero = CoinParams(0.0, 0.0, 0.0)
+    for _ in range(30):
+        seq = str(rng.choice(["A", "B", "AB", "AAB", "BB", "ABA", "B^3",
+                              "(AB)^2"]))
+        channel = str(rng.choice(KINDS))
+        p = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        eps = float(rng.uniform(0, 0.1))
+        convention = str(rng.choice(sorted(CONVENTION_NAMES)))
+        phases = {name: float(rng.uniform(0, 2 * PI))
+                  for name in ("delta", "beta1", "beta2", "beta3", "beta4")
+                  if rng.integers(2)}
+        flags = [f"--seq={seq}", f"--channel={channel}", f"--p={p!r}",
+                 f"--eps={eps!r}", f"--convention={convention}",
+                 *(f"--{name}={value!r}" for name, value in phases.items()),
+                 *(["--max-phases"] if rng.integers(2) else []),
+                 *(["--canonical"] if rng.integers(2) else []),
+                 *(f"--{name}=0" for name in ("theta", "phi1", "phi2",
+                                               "phi3", "phi4"))]
+        assert cli.main(["payoff", *flags]) == 0
+
+        cfg = GameConfig(eps, zero, (zero,) * 4)
+        report = play(seq, cfg, NoiseSpec(channel, p),
+                      CONVENTION_NAMES[convention])
+        want = payoff_text(report.payoff)
         assert capsys.readouterr().out == f"payoff={want}\n", flags
 
 
@@ -337,6 +357,73 @@ def test_inert_phase_config_keys_are_ignored(tmp_path, capsys):
         assert cli.main(["payoff", "--config", str(ini)]) == 0
         printed.append(capsys.readouterr().out)
     assert printed[0] == printed[1] == "payoff=-0.0272548191263\n"
+
+
+# --- removed options -------------------------------------------------------
+
+def removed_option_argv(command, *flags):
+    argv = [command, "--seq", "B", *flags]
+    return argv + (["--var", "p", "--grid", "0:1:2"] if command == "sweep"
+                   else [])
+
+
+@pytest.mark.parametrize("command", ["payoff", "sweep"])
+def test_identity_coins_flag_is_gone(capsys, command):
+    """Zero rotations play the identity coins; the flag that said so is
+    gone."""
+    assert cli.main(removed_option_argv(command, "--identity-coins")) == 2
+    assert "unrecognized arguments: --identity-coins" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["payoff", "sweep"])
+def test_auto_convention_is_not_a_choice(capsys, command):
+    """The convention search runs in ``verify``, not behind a flag."""
+    argv = removed_option_argv(command, "--convention", "auto")
+    assert cli.main(argv) == 2
+    assert "argument --convention: invalid choice: 'auto'" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["payoff", "sweep"])
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_identity_coins_config_key_is_refused(tmp_path, capsys, command,
+                                              value):
+    """An old file's ``identity_coins`` is refused, whatever its value:
+    ignoring it would silently play calibrated coins."""
+    ini = tmp_path / "identity.ini"
+    ini.write_text(f"[game]\nseq = B\nidentity_coins = {value}\n"
+                   "[sweep]\nvar = p\ngrid = 0:1:2\n")
+    assert cli.main([command, "--config", str(ini)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: config file {ini}: [game] identity_coins: removed; set "
+        "theta and phi1..phi4 to 0\n"))
+
+
+def test_no_command_but_verify_runs_the_convention_search(capsys,
+                                                          monkeypatch):
+    """``payoff``, ``sweep`` and ``figure`` play no convention search, under
+    any convention the parser offers, in either probability order."""
+    from parrondoq import verify
+
+    def refuse():
+        raise AssertionError("the convention search was played")
+
+    monkeypatch.setattr(verify, "_play_chain_search", refuse)
+    payoff = cli.build_parser()._subparsers._group_actions[0].choices[
+        "payoff"]
+    convention, = (action for action in payoff._actions
+                   if action.dest == "convention")
+    base = ["--seq", "AB", "--eps", "1/168", "--channel", "pd", "--p", "0.5"]
+    for name in convention.choices:
+        for order in ([], ["--canonical"]):
+            flags = [*base, "--convention", name, *order]
+            assert cli.main(["payoff", *flags]) == 0
+            assert cli.main(["sweep", *flags, "--var", "p",
+                             "--grid", "0.5:0.5:1"]) == 0
+    for number in range(1, 10):
+        assert cli.main(["figure", str(number)]) == 0
+    capsys.readouterr()
 
 
 def test_figure_rejects_bad_number(capsys):
@@ -423,19 +510,25 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("command", ["payoff", "sweep"])
-@pytest.mark.parametrize("section,key", [("game", "convention"),
-                                         ("noise", "channel"),
-                                         ("sweep", "var")])
+@pytest.mark.parametrize("section,key,value", [
+    ("game", "convention", "bogus"),
+    # the removed search is no longer a choice
+    ("game", "convention", "auto"),
+    ("noise", "channel", "bogus"),
+    ("sweep", "var", "bogus"),
+], ids=["game-convention", "game-convention-auto", "noise-channel",
+        "sweep-var"])
 def test_config_choice_is_checked_under_every_command(tmp_path, capsys,
-                                                      command, section, key):
+                                                      command, section, key,
+                                                      value):
     body = {"game": "seq = AAB\n", "noise": "", "sweep": "grid = 0:1:2\n"}
-    body[section] += f"{key} = bogus\n"
+    body[section] += f"{key} = {value}\n"
     ini = tmp_path / "bad.ini"
     ini.write_text("".join(f"[{name}]\n{text}" for name, text in body.items()))
     assert cli.main([command, "--config", str(ini)]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: config file {ini}: [{section}] {key}: invalid choice: "
-        "'bogus' (choose from ")
+        f"{value!r} (choose from ")
 
 
 #: A value for every knob, unlike the base runs' own, so that each one
@@ -444,9 +537,9 @@ KNOB_VALUES = {
     "seq": "B^2", "eps": "1/112", "theta": "pi/7", "delta": "pi/5",
     "phi1": "pi/7", "phi2": "pi/9", "phi3": "pi/11", "phi4": "pi/13",
     "beta1": "pi/2", "beta2": "pi/3", "beta3": "pi/4", "beta4": "pi/5",
-    "max_phases": True, "identity_coins": True,
-    "canonical": True, "convention": "all-perqubit", "channel": "dp",
-    "p": "0.5", "var": "delta", "grid": "0:0.5:2", "out": "knob.csv",
+    "max_phases": True, "canonical": True, "convention": "all-perqubit",
+    "channel": "dp", "p": "0.5", "var": "delta", "grid": "0:0.5:2",
+    "out": "knob.csv",
 }
 KNOB_BASES = {
     "payoff": {"seq": "AAB", "eps": "1/168", "delta": "pi/7",
@@ -500,6 +593,8 @@ def test_help_exits_zero(capsys):
     # every game flag, and no flag for the phases no payoff depends on
     assert "--beta1" in text
     assert "--gamma" not in text and "--alpha" not in text
+    # nor for the removed options
+    assert "--identity-coins" not in text and "auto" not in text
 
 
 def test_verify_command_exits_zero(capsys):

@@ -49,10 +49,8 @@ VARIABLES = {
 STEP = [
     ("verify", 0, None,
      {-1: "verify: 26 checks, 19 pass, 7 classified, 0 fail"}),
-    ("payoff --seq B --canonical --convention auto --channel pd --p 0.5 "
-     "--eps 1/168", 0, 2,
-     {1: "convention=all-perqubit assignment=canonical",
-      2: "payoff=0.0666666666667"}),
+    ("payoff --seq B --canonical --convention all-perqubit --channel pd "
+     "--p 0.5 --eps 1/168", 0, 1, {1: "payoff=0.0666666666667"}),
     ("payoff $zero", 0, 1, {1: "payoff=0"}),
     ("sweep $zero --var p --grid 0.5:0.5:1", 0, None, {-1: "p,0.5,dp,0"}),
     ('payoff --seq "B^9" --eps 1/168 --channel dp --p 0.25', 0, 1,

@@ -115,7 +115,7 @@ def test_run_all_records_each_check_time(timed_registry):
 def test_failed_extended_search_is_a_fail_result(monkeypatch, capsys):
     """When the extended search does not pin exactly one convention, its
     check reports ``FAIL`` with the search's message, and the rest of the
-    report survives: ``verify`` exits 1, not 4."""
+    report survives: ``verify`` exits 1."""
     monkeypatch.setattr(verify, "_ANCHOR_ROWS", ("B:dp",))
     monkeypatch.setattr(verify, "CHECKS", (verify.check_kraus_completeness,
                                            verify.check_convention_discovery))
@@ -130,16 +130,6 @@ def test_failed_extended_search_is_a_fail_result(monkeypatch, capsys):
     assert lines[1].startswith("convention_discovery")
     assert "FAIL" in lines[1]
     assert lines[-1] == "verify: 2 checks, 1 pass, 0 classified, 1 fail"
-
-
-def test_extended_search_failure_under_payoff_is_exit_4(monkeypatch, capsys):
-    """``--convention auto`` runs the extended search, and a search that does
-    not pin exactly one convention is exit 4 with the search's message."""
-    monkeypatch.setattr(verify, "_ANCHOR_ROWS", ("B:dp",))
-    assert cli.main(["payoff", "--seq", "B", "--convention", "auto"]) == 4
-    assert capsys.readouterr().err == (
-        "error: extended search found 0 matching conventions "
-        "(expected exactly 1)\n")
 
 
 def test_printed_form_rule_branches():
