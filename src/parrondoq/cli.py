@@ -3,9 +3,11 @@
 Subcommands: ``payoff`` (one game sequence, one number), ``sweep`` (CSV over
 a parameter grid), ``figure`` (preset sweeps 1-9), ``verify`` (cross-check
 registry); ``payoff`` is the one-point ``sweep`` of the same flags, plus
-fixed-coin overrides. The game flags are the knobs a payoff can depend on;
-gamma and the alphas, the coins' gamma phases, cancel from every payoff, so
-they have no flag and stay 0 (``coins.coin_angles`` still takes them).
+the fixed-coin overrides ``--theta`` and ``--phi1..4``, which ``sweep`` does
+not take: it recalibrates the coins at each grid point. The game flags are
+the knobs a payoff can depend on; gamma and the alphas, the coins' gamma
+phases, cancel from every payoff, so they have no flag and stay 0
+(``coins.coin_angles`` still takes them).
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 register
 size limit. Only the ``verify`` command calls into the ``verify`` module;
 the paper's chain convention is ``--canonical --convention all-perqubit``.
@@ -19,8 +21,8 @@ through its flag's own type and choices as declared once in ``_KNOBS``: a
 repeatable flag takes a comma-separated list, a switch an INI boolean.
 Explicit flags win and undeclared keys are ignored, except the removed
 ``[game] identity_coins``, which would otherwise silently play calibrated
-coins. A file that is not INI, a value its flag refuses or that removed key
-is a usage error naming the file and the key.
+coins. A file that is not INI, a value its flag refuses, that removed key or
+an override under ``sweep`` is a usage error naming the file and the key.
 """
 from __future__ import annotations
 
@@ -103,10 +105,14 @@ _KNOBS = (
     ("game", "seq", dict(help="game sequence, e.g. AAB, B^3, (AAB)^2")),
     ("game", "eps", dict(type=parse_angle, metavar="E",
                          help="classical bias offset (e.g. 1/168)")),
-    ("game", _COIN_OVERRIDES[0], _COIN_ANGLE),
-    ("game", "delta", _ANGLE),
-    *(("game", name, _COIN_ANGLE) for name in _COIN_OVERRIDES[1:]),
-    *(("game", f"beta{i}", _ANGLE) for i in range(1, 5)),
+    ("game", "theta", dict(_COIN_ANGLE, help="rotation of coin A in "
+                           "[-pi, pi], in place of its calibrated one")),
+    ("game", "delta", dict(_ANGLE, help="phase of coin A, in [0, 2pi]")),
+    *(("game", f"phi{i}", dict(_COIN_ANGLE, help=f"rotation of B's sub-coin "
+                               f"{i} in [-pi, pi], in place of its "
+                               "calibrated one")) for i in range(1, 5)),
+    *(("game", f"beta{i}", dict(_ANGLE, help=f"phase of B's sub-coin {i}, "
+                                "in [0, 2pi]")) for i in range(1, 5)),
     ("game", "max_phases", dict(_SWITCH, help="set the four beta phases to "
                                 "the payoff-maximizing choice for delta")),
     ("game", "canonical", dict(_SWITCH, help="assign the four winning "
@@ -118,16 +124,20 @@ _KNOBS = (
     ("noise", "p", dict(type=parse_angle, metavar="P",
                         help="decoherence strength in [0, 1]")),
     ("sweep", "var", dict(choices=SWEEP_VARS, help="the swept quantity")),
-    ("sweep", "grid", dict(type=parse_grid, metavar="START:STOP:N")),
+    ("sweep", "grid", dict(type=parse_grid, metavar="START:STOP:N",
+                           help="N evenly spaced values, ends included")),
     ("sweep", "out", dict(metavar="FILE",
                           help="write CSV here instead of stdout")),
 )
 
 
-def _add_flags(sub: argparse.ArgumentParser, sections: tuple) -> dict:
-    """Add the flags of the knobs in ``sections``; returns them by dest."""
+def _add_flags(sub: argparse.ArgumentParser, sections: tuple,
+               leave_out: tuple = ()) -> dict:
+    """Add the flags of the knobs in ``sections``, but for the dests in
+    ``leave_out``; returns them by dest."""
     return {dest: sub.add_argument("--" + dest.replace("_", "-"), **kw)
-            for section, dest, kw in _KNOBS if section in sections}
+            for section, dest, kw in _KNOBS
+            if section in sections and dest not in leave_out}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pay = subs.add_parser("payoff", help="payoff of one game sequence")
     p_sweep = subs.add_parser("sweep", help="payoff over a parameter grid")
-    for sub in (p_pay, p_sweep):
-        flags = _add_flags(sub, ("game", "noise"))
+    for sub, leave_out in ((p_pay, ()), (p_sweep, _COIN_OVERRIDES)):
+        flags = _add_flags(sub, ("game", "noise"), leave_out)
         sub.add_argument("--config", metavar="FILE",
                          help="INI file supplying any of these values")
     flags["channel"].help += " (repeatable)"        # sweep's, added last
@@ -149,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = subs.add_parser("figure", help="render a preset sweep as CSV")
     p_fig.add_argument("number", type=int, choices=range(1, 10),
                        metavar="N", help="preset number, 1-9")
-    p_fig.add_argument("--out", metavar="FILE")
+    p_fig.add_argument("--out", metavar="FILE",
+                       help="write CSV here instead of stdout")
 
     subs.add_parser("verify", help="run the cross-validation registry")
     return parser
@@ -180,7 +191,8 @@ def _config_value(section: configparser.SectionProxy, dest: str, kw: dict):
 def _merge_config(ns: argparse.Namespace) -> None:
     """Fill unset flags from the config file; explicit flags win. Every
     declared key is read, whatever the subcommand; other keys are
-    ignored, but ``[game] identity_coins`` is refused."""
+    ignored, but ``[game] identity_coins`` is refused, and so is an
+    override under ``sweep``."""
     if not getattr(ns, "config", None):
         return
     cp, where = configparser.ConfigParser(), ""
@@ -193,6 +205,10 @@ def _merge_config(ns: argparse.Namespace) -> None:
         for section, dest, kw in _KNOBS:
             if cp.has_option(section, dest):
                 where = f"[{section}] {dest}: "
+                if ns.command == "sweep" and dest in _COIN_OVERRIDES:
+                    raise ValueError("applies to `payoff` only; sweep "
+                                     "recalibrates the coins at each grid "
+                                     "point")
                 value = _config_value(cp[section], dest, kw)
                 if getattr(ns, dest, False) is None:
                     setattr(ns, dest, value)
@@ -247,11 +263,6 @@ def cmd_sweep(ns) -> int:
         raise UsageError("sweep requires --seq")
     if not ns.var or not ns.grid:
         raise UsageError("sweep requires --var and --grid")
-    # an angle of 0 is an override too
-    fixed = [k for k in _COIN_OVERRIDES if getattr(ns, k) is not None]
-    if fixed:
-        raise UsageError("sweep recalibrates the coins at each grid point; "
-                         f"--{fixed[0]} applies to `payoff` only")
     _write_csv(rows_to_csv(sweep_rows(_sweep_setup(ns, ns.var, ns.grid))),
                ns.out)
     return 0

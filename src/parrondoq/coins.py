@@ -147,6 +147,12 @@ def _asin_sqrt(q: np.ndarray) -> np.ndarray:
                     ).reshape(q.shape)
 
 
+#: The names ``coin_angles`` gives B's sub-coin phases in its errors, in
+#: the order it checks them: each sub-coin's (alpha, beta) in turn.
+_SUB_PHASE_NAMES = tuple(f"{name}{i}" for i in range(1, 5)
+                         for name in ("alpha", "beta"))
+
+
 def coin_angles(epsilon, gamma=0.0, delta=0.0, alphas=(0.0,) * 4,
                 betas=(0.0,) * 4, assignment: str = "printed") -> np.ndarray:
     """Rotation angles from the classical winning probabilities, for G
@@ -165,15 +171,17 @@ def coin_angles(epsilon, gamma=0.0, delta=0.0, alphas=(0.0,) * 4,
     Raises ValueError for the first point's epsilon outside [0, 0.1], then
     an unknown assignment or other than four sub-coin phases, then the
     first point's first phase outside [0, 2pi]: all epsilons come first.
+    Errors name sub-coin N's phases ``alphaN`` and ``betaN``, N = 1..4 in
+    history order, and coin A's ``gamma`` and ``delta``.
     """
     _refuse_outside([("epsilon", epsilon)], 0.1, "[0, 0.1]")
     if assignment not in ("printed", "canonical"):
         raise ValueError(f"unknown assignment {assignment!r}")
     if len(alphas) != 4 or len(betas) != 4:
         raise ValueError("game B takes exactly four sub-coins")
-    _refuse_outside([(name, v) for a, b in zip(alphas, betas)
-                     for name, v in (("gamma", a), ("delta", b))]
-                    + [("gamma", gamma), ("delta", delta)], TAU, "[0, 2pi]")
+    sub_phases = (v for pair in zip(alphas, betas) for v in pair)
+    _refuse_outside([*zip(_SUB_PHASE_NAMES, sub_phases),
+                     ("gamma", gamma), ("delta", delta)], TAU, "[0, 2pi]")
     eps = np.asarray(epsilon, dtype=float)
     probs = [0.7 - eps, 0.25 - eps, 0.25 - eps, 0.9 - eps]
     if assignment == "canonical":

@@ -72,9 +72,12 @@ class SweepSetup:
             raise ValueError(f"unknown sweep variable {self.var!r}")
         if self.count < 1:
             raise ValueError("grid needs at least one point")
-        for ch in self.channels:
+        for i, ch in enumerate(self.channels):
             if ch not in KINDS:
                 raise ValueError(f"unknown channel {ch!r}")
+            # (var, value, channel) keys a CSV row
+            if ch in self.channels[:i]:
+                raise ValueError(f"channel {ch!r} given twice")
         if not self.channels:
             raise ValueError("need at least one channel")
         points = self.count * len(self.channels)

@@ -154,16 +154,20 @@ def test_coin_override_out_of_range_names_its_flag(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize("flag", ["theta", "phi1"])
-def test_sweep_refuses_a_zero_coin_override(capsys, flag):
-    """An override of 0 is refused like any other: the check is for a set
-    flag, not a nonzero one."""
+def test_sweep_refuses_a_zero_coin_override(tmp_path, capsys, flag):
+    """An override of 0 is refused like any other: ``sweep`` has no such
+    flag, and a config file's key names the file and the key."""
     base = ["sweep", "--seq", "A", "--var", "p", "--grid", "0:1:2"]
-    assert cli.main(base + [f"--{flag}", "0.1"]) == 2
-    refused = capsys.readouterr()
     assert cli.main(base + [f"--{flag}", "0"]) == 2
-    assert capsys.readouterr() == refused
-    assert f"--{flag} applies to `payoff` only" in refused.err
+    refused = capsys.readouterr()
+    assert f"unrecognized arguments: --{flag} 0" in refused.err
     assert refused.out == ""
+    ini = tmp_path / "coin.ini"
+    ini.write_text(f"[game]\n{flag} = 0\n")
+    assert cli.main(base + ["--config", str(ini)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: config file {ini}: [game] {flag}: applies to `payoff` "
+        "only; sweep recalibrates the coins at each grid point\n"))
 
 
 def test_out_of_domain_sweep_exits_before_playing(capsys, monkeypatch):
@@ -185,7 +189,31 @@ def test_sweep_rejects_fixed_angle_overrides(capsys):
     rc = cli.main(["sweep", "--seq", "AAB", "--var", "p", "--grid", "0:1:3",
                    "--theta", "pi/3"])
     assert rc == 2
-    assert "payoff" in capsys.readouterr().err
+    assert "unrecognized arguments: --theta pi/3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_out_of_range_beta_names_its_flag(capsys, n):
+    """A sub-coin phase out of range is named as its flag, not as the coin
+    field it sets."""
+    assert cli.main(["payoff", "--seq", "AAB", f"--beta{n}", "7"]) == 2
+    assert capsys.readouterr().err == (f"error: beta{n} 7.0 outside "
+                                       "[0, 2pi]\n")
+    assert cli.main(["sweep", "--seq", "AAB", "--var", f"beta{n}",
+                     "--grid", "0:7:3"]) == 2
+    assert capsys.readouterr().err == (f"error: beta{n} 7.0 outside "
+                                       "[0, 2pi]\n")
+
+
+def test_sweep_refuses_a_repeated_channel(tmp_path, capsys):
+    """A channel given twice would print each of its rows twice."""
+    base = ["sweep", "--seq", "AAB", "--var", "p", "--grid", "0:1:2"]
+    assert cli.main(base + ["--channel", "ad", "--channel", "ad"]) == 2
+    assert capsys.readouterr() == ("", "error: channel 'ad' given twice\n")
+    ini = tmp_path / "twice.ini"
+    ini.write_text("[noise]\nchannel = ad, dp, ad\n")
+    assert cli.main(base + ["--config", str(ini)]) == 2
+    assert capsys.readouterr() == ("", "error: channel 'ad' given twice\n")
 
 
 # --- sweep / figure output -------------------------------------------------
@@ -595,6 +623,18 @@ def test_help_exits_zero(capsys):
     assert "--gamma" not in text and "--alpha" not in text
     # nor for the removed options
     assert "--identity-coins" not in text and "auto" not in text
+    # the coin overrides are payoff's alone
+    assert cli.main(["sweep", "--help"]) == 0
+    text = capsys.readouterr().out
+    assert "--beta1" in text
+    assert "--theta" not in text and "--phi" not in text
+
+
+def test_every_option_has_help():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    for command, sub in subparsers.items():
+        for action in sub._actions:
+            assert action.help, (command, action.option_strings)
 
 
 def test_verify_command_exits_zero(capsys):

@@ -203,16 +203,16 @@ OUT_OF_RANGE = [
     (dict(epsilon=float("nan")), "epsilon nan outside [0, 0.1]"),
     (dict(gamma=7.0), "gamma 7.0 outside [0, 2pi]"),
     (dict(delta=-1.0), "delta -1.0 outside [0, 2pi]"),
-    (dict(alphas=(0.0, 0.0, 6.5, 0.0)), "gamma 6.5 outside [0, 2pi]"),
-    (dict(betas=(0.0, -0.5, 0.0, 0.0)), "delta -0.5 outside [0, 2pi]"),
+    (dict(alphas=(0.0, 0.0, 6.5, 0.0)), "alpha3 6.5 outside [0, 2pi]"),
+    (dict(betas=(0.0, -0.5, 0.0, 0.0)), "beta2 -0.5 outside [0, 2pi]"),
     (dict(assignment="other"), "unknown assignment 'other'"),
     # one point's checks run in calibration order: epsilon, assignment,
     # the sub-coins' (gamma, delta) in turn, then coin A's
     (dict(epsilon=0.5, assignment="other"), "epsilon 0.5 outside [0, 0.1]"),
     (dict(gamma=7.0, betas=(0.0, 0.0, 0.0, 8.0)),
-     "delta 8.0 outside [0, 2pi]"),
+     "beta4 8.0 outside [0, 2pi]"),
     (dict(delta=9.0, alphas=(9.5, 0.0, 0.0, 0.0)),
-     "gamma 9.5 outside [0, 2pi]"),
+     "alpha1 9.5 outside [0, 2pi]"),
 ]
 
 

@@ -34,6 +34,8 @@ def test_sweep_setup_validation():
         small_setup(channels=("bad",))
     with pytest.raises(ValueError):
         small_setup(channels=())
+    with pytest.raises(ValueError, match="^channel 'ad' given twice$"):
+        small_setup(channels=("ad", "dp", "ad"))
 
 
 OUT_OF_DOMAIN = [
@@ -47,14 +49,14 @@ OUT_OF_DOMAIN = [
     (dict(var="delta", start=-1.0, stop=1.0, count=5), "delta -1.0 outside "
                                                        "[0, 2pi]"),
     (dict(var="beta3", start=2 * PI, stop=7.0, count=4, channels=("ad",)),
-     f"delta {np.linspace(2 * PI, 7.0, 4)[1]} outside [0, 2pi]"),
+     f"beta3 {np.linspace(2 * PI, 7.0, 4)[1]} outside [0, 2pi]"),
     (dict(var="beta2", start=0.0, stop=7.0, count=8, delta=7.0),
      "delta 7.0 outside [0, 2pi]"),
     (dict(var="eps", start=0.0, stop=0.05, count=3, p=1.5,
           channels=("none", "dp")), "p 1.5 outside [0, 1]"),
     (dict(var="eps", start=0.0, stop=0.05, count=3, p=1.5,
           channels=("dp",), betas=(0.0, 0.0, 0.0, -2.0)),
-     "delta -2.0 outside [0, 2pi]"),
+     "beta4 -2.0 outside [0, 2pi]"),
     (dict(var="p", start=-1.0, stop=1.0, count=5, channels=("none",)),
      "p -1.0 outside [0, 1]"),
 ]
