@@ -4,45 +4,47 @@ A final density matrix does not dictate how to turn measurement
 statistics into "the payoff": which qubits count (all of them, or only
 the ones games were played on) and what the sum is divided by (nothing,
 the number of games, or the register size). The quoted chain values are
-only reproducible under one specific combination — and finding it is a
-search problem this module solves explicitly.
+only reproducible under one specific combination, and ``verify`` finds
+it by search rather than by assumption.
 
-One search plays the B chains once and scores every candidate: both
-probability orders (the printed one and the reversed, "canonical" one) x
-{all, results} x {total, per-game, per-qubit}.
+The search plays the B chains once and scores every candidate in one
+residual table: both probability orders (the printed one and the
+reversed, "canonical" one) x {all, results} x {total, per-game,
+per-qubit}. Two checks of ``parrondoq verify`` read that table:
 
-Step 1 reads the four straightforward candidates from that table (printed
-probability order x {all, results} x {total, per-game}). None of them
-reproduces the reference values: every row misses.
+* ``convention_search`` reads the four straightforward candidates
+  (printed probability order x {all, results} x {total, per-game}). None
+  of them reproduces the reference values, so it is classified
+  ``no-direct-match``.
+* ``convention_discovery`` reads the whole table, which adds the two
+  extra hypotheses: the four winning probabilities assigned in canonical
+  order, and payoffs normalized per register qubit. It passes only when
+  exactly one cell fits the anchor rows, and that cell is canonical
+  order, all qubits, per-qubit normalization.
 
-Step 2 reads the whole table, which adds the two extra hypotheses: the
-four winning probabilities assigned in canonical order, and payoffs
-normalized per register qubit. Exactly one cell fits the anchor rows:
-canonical order, all qubits, per-qubit normalization.
+Step 1 prints the two checks' results. Step 2 plays B under phase
+damping in every cell, against its quoted value 1/15. One row alone
+fits two cells, canonical order with either qubit mask counted per
+qubit; the anchor rows together fit one.
 """
+from parrondoq import verify
 from parrondoq.coins import calibrate_classical
 from parrondoq.engine import CONVENTION_NAMES, PayoffConvention, play
-from parrondoq.verify import discover_convention
 from parrondoq.noise import NoiseSpec
 
-finding = discover_convention()
-
-print("== Step 1: the direct candidates all miss ==")
-print(f"{'candidate':<24} {'best row':>10} {'worst row':>10}")
-for name, convention in CONVENTION_NAMES.items():
-    if convention.normalization != "per_qubit":
-        rows = finding.residuals[f"printed/{name}"]
-        print(f"{'printed/' + name:<24} {min(rows.values()):>10.3e} "
-              f"{max(rows.values()):>10.3e}")
+print("== Step 1: the two convention checks ==")
+print(verify.format_report([verify.check_convention_search(),
+                            verify.check_convention_discovery()]), end="")
 
 print()
-print("== Step 2: widen the space ==")
-winner = f"{finding.assignment}/{finding.convention.name}"
-print(f"unique surviving candidate: {winner}")
-print("anchor rows and their residuals there:")
-winner_rows = finding.residuals[winner]
-for row in finding.anchor_rows:
-    print(f"    {row:<8} {winner_rows[row]:.3e}")
+print("== Step 2: B under phase damping, p = 0.5, eps = 1/168 ==")
+print(f"{'candidate':<26} {'payoff':>10} {'off 1/15 by':>12}")
+for order in ("printed", "canonical"):
+    cfg = calibrate_classical(1 / 168, assignment=order)
+    for name, convention in CONVENTION_NAMES.items():
+        payoff = play("B", cfg, NoiseSpec("pd", 0.5), convention).payoff
+        print(f"{order + '/' + name:<26} {payoff:>+10.6f} "
+              f"{abs(payoff - 1 / 15):>12.3e}")
 
 print()
 print("== The two exactly-quoted phase-damping values ==")

@@ -19,8 +19,7 @@ from .noise import (KINDS, NoiseSpec, completeness_defect, corner_stack,
                     kraus_single, kraus_stack)
 from .reference import (apply_channel, build_unitary, evolve, lift_enumerated,
                         make_initial_state, payoff_report)
-from .verify import (CalibrationError, CheckResult, ConventionFinding,
-                     discover_convention, format_report, run_all)
+from .verify import CheckResult, format_report, run_all
 
 __version__ = "0.1.0"
 
@@ -29,9 +28,8 @@ __all__ = [
     "build_unitary", "calibrate_classical", "coin_angles", "make_coin_a",
     "make_coin_b",
     "max_payoff_phases", "parse_sequence",
-    "CONVENTION_NAMES", "DEFAULT_CONVENTION", "CalibrationError",
-    "ConventionFinding", "PayoffConvention", "PayoffReport",
-    "discover_convention", "evolve",
+    "CONVENTION_NAMES", "DEFAULT_CONVENTION", "PayoffConvention",
+    "PayoffReport", "evolve",
     "make_initial_state", "payoff_report", "play", "play_arrays", "play_many",
     "FIGURES", "SweepSetup", "figure_csv", "figure_rows", "rows_to_csv",
     "sweep_rows",

@@ -201,7 +201,10 @@ def _merge_config(ns: argparse.Namespace) -> None:
             cp.read_file(fh)
         if cp.has_option("game", "identity_coins"):
             where = "[game] identity_coins: "
-            raise ValueError("removed; set theta and phi1..phi4 to 0")
+            raise ValueError("removed; " + (
+                "delete the key: sweep recalibrates the coins at each grid "
+                "point" if ns.command == "sweep"
+                else "set theta and phi1..phi4 to 0"))
         for section, dest, kw in _KNOBS:
             if cp.has_option(section, dest):
                 where = f"[{section}] {dest}: "

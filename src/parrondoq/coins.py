@@ -166,7 +166,8 @@ def coin_angles(epsilon, gamma=0.0, delta=0.0, alphas=(0.0,) * 4,
     B's sub-coins. ``assignment="canonical"`` reverses the B list (history
     00 gets the 9/10 coin), the ordering of the classical history-dependent
     game; the built-in chain reference values are reproduced only under
-    this assignment (see discover_convention).
+    this assignment (``verify``'s ``convention_search`` and
+    ``convention_discovery`` checks).
 
     Raises ValueError for the first point's epsilon outside [0, 0.1], then
     an unknown assignment or other than four sub-coin phases, then the

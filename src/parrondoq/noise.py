@@ -87,11 +87,17 @@ def completeness_defect(ops: list[np.ndarray]) -> float:
 def corner_stack(kinds, p) -> np.ndarray:
     """E(|x><y|) = sum_k E_k |x><y| E_k^dag, stacked at index 2x + y, for G
     points at once: shape ``(G, 4, 2, 2)``. ``kinds`` is one channel kind
-    or one per point, ``p`` one strength or one per point."""
+    or one per point, ``p`` one strength or one per point. Any other pair
+    of lengths is a ``ValueError`` before any work."""
     kinds = [kinds] if isinstance(kinds, str) else list(kinds)
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if len(p) < len(kinds):
-        p = np.broadcast_to(p, (len(kinds),))
+    if len(p) != len(kinds):
+        if len(p) == 1:
+            p = np.broadcast_to(p, (len(kinds),))
+        elif len(kinds) != 1:
+            raise ValueError(f"{len(kinds)} channel kinds and {len(p)} "
+                             "strengths: give one of either, or one per "
+                             "point")
     if len(set(kinds)) == 1:
         ops = kraus_stack(kinds[0], p)
         return np.einsum("gkix,gkjy->gxyij", ops, ops.conj()

@@ -25,12 +25,13 @@ coefficient, a remapped strength, another slope), the result is
 the printed form misses by more than 1e-3 on every sequence; otherwise the
 model form passes or fails.
 
-The payoff-convention search lives here too: one residual table
-(``_chain_search``) scores every probability order and convention on the B
-chains, with the chain checks' points (``_chain_points``), eps pair and
-per-length tolerances. ``discover_convention`` picks the one cell that fits
-the anchor rows; ``check_convention_search`` finds no direct cell that fits.
-Within one ``run_all`` the two checks read one table.
+Two checks hold the payoff convention. One residual table (``_chain_search``)
+scores every probability order and engine convention on the B chains, with
+the chain checks' points (``_chain_points``), eps pair and per-length
+tolerances. ``check_convention_search`` finds no printed-order cell that fits
+every row; ``check_convention_discovery`` finds exactly one cell that fits the
+anchor rows, ``canonical/all-perqubit``. Within one ``run_all`` the two checks
+read one table.
 
 ``run_all`` executes the registry and records each check's wall time on its
 result; the CLI renders one line per check and exits nonzero only on hard
@@ -331,26 +332,6 @@ def _chain_play(seq, grid) -> list:
                                         for point in grid]), _PER_QUBIT)
 
 
-class CalibrationError(Exception):
-    """The convention search does not pin exactly one convention.
-
-    ``residuals`` maps candidate name -> {"seq:channel": max residual}.
-    """
-
-    def __init__(self, message: str, residuals: dict):
-        super().__init__(message)
-        self.residuals = residuals
-
-
-@dataclass(frozen=True)
-class ConventionFinding:
-    """Result of the extended convention search."""
-    convention: PayoffConvention
-    assignment: str                # which probability-list order B's coins use
-    residuals: dict                # candidate name -> row -> max residual
-    anchor_rows: tuple[str, ...]   # rows the search matched on
-
-
 #: What the checks of the ``run_all`` running in this context share; None
 #: outside a run, so nothing a run shares outlives it.
 _RUN: ContextVar[dict | None] = ContextVar("verify_run", default=None)
@@ -410,23 +391,6 @@ def _fitting(table, rows=None) -> list:
 _ANCHOR_ROWS = ("B:ad", "B:pd", "BB:ad", "BB:pd", "BBB:pd")
 
 
-def discover_convention() -> ConventionFinding:
-    """Extended search: probability-list order x mask x normalization.
-
-    Anchors on the amplitude-damping and phase-damping chain rows, which pin
-    a unique candidate: canonical order, all qubits, per-qubit normalization.
-    """
-    table = _chain_search()
-    matches = _fitting(table, _ANCHOR_ROWS)
-    if len(matches) != 1:
-        raise CalibrationError(
-            f"extended search found {len(matches)} matching conventions "
-            "(expected exactly 1)", table)
-    assignment, name = matches[0].split("/")
-    return ConventionFinding(CONVENTION_NAMES[name], assignment, table,
-                             _ANCHOR_ROWS)
-
-
 def check_convention_search() -> CheckResult:
     """The search's direct part, printed order x mask x {total, per_game},
     must come up empty..."""
@@ -445,14 +409,18 @@ def check_convention_search() -> CheckResult:
 
 
 def check_convention_discovery() -> CheckResult:
-    """...while the extended search pins exactly one working convention."""
-    try:
-        finding = discover_convention()
-    except CalibrationError as err:
+    """...while the amplitude- and phase-damping anchor rows pin exactly one
+    working convention: canonical order, all qubits, per-qubit
+    normalization."""
+    table = _chain_search()
+    matches = _fitting(table, _ANCHOR_ROWS)
+    if len(matches) != 1:
         return CheckResult("convention_discovery", "FAIL", math.inf,
-                           _CHAIN_TOL[1], str(err))
-    found = f"{finding.assignment}/{finding.convention.name}"
-    worst = max(finding.residuals[found][row] for row in finding.anchor_rows
+                           _CHAIN_TOL[1], f"extended search found "
+                           f"{len(matches)} matching conventions (expected "
+                           "exactly 1)")
+    found, = matches
+    worst = max(table[found][row] for row in _ANCHOR_ROWS
                 if not row.startswith("BBB"))
     if found != "canonical/all-perqubit":
         return CheckResult("convention_discovery", "FAIL", worst,

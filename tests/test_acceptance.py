@@ -6,9 +6,10 @@ tolerance and, where a release requirement sets one, a bound on its wall
 time. So a new, dropped or reclassified check, a loosened tolerance or a
 failing comparison fails here, and each cross-check is computed once, by
 the registry. The tests below it pin what the registry does not check:
-the convention search's direct cells and its finding in full, the
-enumerated route's cap, an eleven-qubit play's time budget, the presets'
-determinism, and the cause of the figure 2 symmetry finding.
+the search table both convention checks read (its span, its direct cells
+and the cell it pins), the enumerated route's cap, an eleven-qubit play's
+time budget, the presets' determinism, and the cause of the figure 2
+symmetry finding.
 
 ``test_figure2_pd_curve_mirror_symmetry`` checks the mirror symmetry that
 the phase-damping curve of figure preset 2 has. The AAB payoff depends on
@@ -23,13 +24,12 @@ import time
 
 import pytest
 
-from parrondoq import oracle
+from parrondoq import oracle, verify
 from parrondoq.coins import SizeLimitError, calibrate_classical
 from parrondoq.engine import CONVENTION_NAMES, PayoffConvention, play
 from parrondoq.figures import FIGURES, figure_csv, figure_rows, sweep_rows
 from parrondoq.noise import NoiseSpec
 from parrondoq.reference import MAX_ENUMERATED_QUBITS, lift_enumerated
-from parrondoq.verify import discover_convention
 
 PI = math.pi
 
@@ -91,7 +91,7 @@ def test_direct_convention_search_fails_with_full_residual_table():
     search's direct cells, printed order x the engine's total and per-game
     conventions, carry a residual for every reference row, and every row
     misses."""
-    residuals = discover_convention().residuals
+    residuals = verify._chain_search()
     direct = [f"printed/{name}" for name, c in CONVENTION_NAMES.items()
               if c.normalization != "per_qubit"]
     assert len(direct) == 4           # the direct candidate space
@@ -103,15 +103,21 @@ def test_direct_convention_search_fails_with_full_residual_table():
 
 
 def test_extended_search_pins_unique_convention():
-    finding = discover_convention()
-    assert finding.assignment == "canonical"
-    assert finding.convention == PayoffConvention("all", "per_qubit")
-    winner = finding.residuals["canonical/all-perqubit"]
+    """The search table spans both probability orders and every engine
+    convention, and the cell ``convention_discovery`` pins, canonical order
+    with all qubits counted per qubit, fits the anchor rows."""
+    residuals = verify._chain_search()
+    assert set(residuals) == {f"{order}/{name}"
+                              for order in ("printed", "canonical")
+                              for name in CONVENTION_NAMES}
+    assert CONVENTION_NAMES["all-perqubit"] == PayoffConvention("all",
+                                                                "per_qubit")
+    winner = residuals["canonical/all-perqubit"]
     for row in ("B:ad", "B:pd", "BB:ad", "BB:pd"):
         assert winner[row] < 1e-9, row
     assert winner["BBB:pd"] < 5e-3
     # and the direct-space cells all miss
-    assert finding.residuals["printed/all-total"]["B:pd"] > 1e-3
+    assert residuals["printed/all-total"]["B:pd"] > 1e-3
 
 
 def test_enumerated_channel_path_is_capped():

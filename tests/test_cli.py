@@ -413,19 +413,25 @@ def test_auto_convention_is_not_a_choice(capsys, command):
         capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("command", ["payoff", "sweep"])
+@pytest.mark.parametrize("command, advice", [
+    ("payoff", "set theta and phi1..phi4 to 0"),
+    ("sweep", "delete the key: sweep recalibrates the coins at each grid "
+              "point"),
+], ids=["payoff", "sweep"])
 @pytest.mark.parametrize("value", ["true", "false"])
 def test_identity_coins_config_key_is_refused(tmp_path, capsys, command,
-                                              value):
+                                              advice, value):
     """An old file's ``identity_coins`` is refused, whatever its value:
-    ignoring it would silently play calibrated coins."""
+    ignoring it would silently play calibrated coins. Each command's advice
+    works under it: ``sweep`` refuses ``theta`` and ``phiN`` keys too, so
+    there the key is simply deleted."""
     ini = tmp_path / "identity.ini"
     ini.write_text(f"[game]\nseq = B\nidentity_coins = {value}\n"
                    "[sweep]\nvar = p\ngrid = 0:1:2\n")
     assert cli.main([command, "--config", str(ini)]) == 2
     assert capsys.readouterr() == ("", (
-        f"error: config file {ini}: [game] identity_coins: removed; set "
-        "theta and phi1..phi4 to 0\n"))
+        f"error: config file {ini}: [game] identity_coins: removed; "
+        f"{advice}\n"))
 
 
 def test_no_command_but_verify_runs_the_convention_search(capsys,

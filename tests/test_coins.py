@@ -197,26 +197,41 @@ def test_calibration_thetas_are_libm_values():
         for q in (0.7 - eps, 0.25 - eps, 0.25 - eps, 0.9 - eps)]
 
 
+#: (id, knobs, message). Each id is fixed text, so restating a message
+#: does not rename its case; the ids are the names the cases had when
+#: pytest derived them from the messages.
 OUT_OF_RANGE = [
-    (dict(epsilon=0.2), "epsilon 0.2 outside [0, 0.1]"),
-    (dict(epsilon=-0.01), "epsilon -0.01 outside [0, 0.1]"),
-    (dict(epsilon=float("nan")), "epsilon nan outside [0, 0.1]"),
-    (dict(gamma=7.0), "gamma 7.0 outside [0, 2pi]"),
-    (dict(delta=-1.0), "delta -1.0 outside [0, 2pi]"),
-    (dict(alphas=(0.0, 0.0, 6.5, 0.0)), "alpha3 6.5 outside [0, 2pi]"),
-    (dict(betas=(0.0, -0.5, 0.0, 0.0)), "beta2 -0.5 outside [0, 2pi]"),
-    (dict(assignment="other"), "unknown assignment 'other'"),
+    ("knobs0-epsilon 0.2 outside [0, 0.1]",
+     dict(epsilon=0.2), "epsilon 0.2 outside [0, 0.1]"),
+    ("knobs1-epsilon -0.01 outside [0, 0.1]",
+     dict(epsilon=-0.01), "epsilon -0.01 outside [0, 0.1]"),
+    ("knobs2-epsilon nan outside [0, 0.1]",
+     dict(epsilon=float("nan")), "epsilon nan outside [0, 0.1]"),
+    ("knobs3-gamma 7.0 outside [0, 2pi]",
+     dict(gamma=7.0), "gamma 7.0 outside [0, 2pi]"),
+    ("knobs4-delta -1.0 outside [0, 2pi]",
+     dict(delta=-1.0), "delta -1.0 outside [0, 2pi]"),
+    ("knobs5-alpha3 6.5 outside [0, 2pi]",
+     dict(alphas=(0.0, 0.0, 6.5, 0.0)), "alpha3 6.5 outside [0, 2pi]"),
+    ("knobs6-beta2 -0.5 outside [0, 2pi]",
+     dict(betas=(0.0, -0.5, 0.0, 0.0)), "beta2 -0.5 outside [0, 2pi]"),
+    ("knobs7-unknown assignment 'other'",
+     dict(assignment="other"), "unknown assignment 'other'"),
     # one point's checks run in calibration order: epsilon, assignment,
     # the sub-coins' (gamma, delta) in turn, then coin A's
-    (dict(epsilon=0.5, assignment="other"), "epsilon 0.5 outside [0, 0.1]"),
-    (dict(gamma=7.0, betas=(0.0, 0.0, 0.0, 8.0)),
+    ("knobs8-epsilon 0.5 outside [0, 0.1]",
+     dict(epsilon=0.5, assignment="other"), "epsilon 0.5 outside [0, 0.1]"),
+    ("knobs9-beta4 8.0 outside [0, 2pi]",
+     dict(gamma=7.0, betas=(0.0, 0.0, 0.0, 8.0)),
      "beta4 8.0 outside [0, 2pi]"),
-    (dict(delta=9.0, alphas=(9.5, 0.0, 0.0, 0.0)),
+    ("knobs10-alpha1 9.5 outside [0, 2pi]",
+     dict(delta=9.0, alphas=(9.5, 0.0, 0.0, 0.0)),
      "alpha1 9.5 outside [0, 2pi]"),
 ]
 
 
-@pytest.mark.parametrize("knobs,message", OUT_OF_RANGE)
+@pytest.mark.parametrize("knobs,message", [row[1:] for row in OUT_OF_RANGE],
+                         ids=[row[0] for row in OUT_OF_RANGE])
 def test_coin_angles_and_calibration_refuse_alike(knobs, message):
     knobs = dict(knobs)
     epsilon = knobs.pop("epsilon", 0.0)

@@ -18,7 +18,6 @@ from parrondoq.engine import (CONVENTION_NAMES, PayoffConvention,
 from parrondoq.noise import KINDS, NoiseSpec, corner_stack
 from parrondoq.reference import (apply_channel, build_unitary, evolve,
                                  make_initial_state, payoff_report)
-from parrondoq.verify import discover_convention
 
 PI = math.pi
 PER_QUBIT = PayoffConvention("all", "per_qubit")
@@ -610,23 +609,6 @@ def test_play_many_edge_cases():
         play_many("B^12", [(cfg, noise)])
 
 
-# --- convention search -----------------------------------------------------
-# What the search finds is pinned in test_acceptance.py; this pins which of
-# the engine's conventions it spans.
-
-def test_discover_convention_pins_unique_cell():
-    """The extended search spans both probability orders and every engine
-    convention; the winner is the one cell that fits all anchor rows."""
-    finding = discover_convention()
-    assert set(finding.residuals) == {f"{order}/{name}"
-                                      for order in ("printed", "canonical")
-                                      for name in CONVENTION_NAMES}
-    fits = [cell for cell, rows in finding.residuals.items()
-            if all(rows[row] <= (5e-3 if row.startswith("BBB") else 1e-6)
-                   for row in finding.anchor_rows)]
-    assert fits == [f"{finding.assignment}/{finding.convention.name}"]
-
-
 def test_engine_is_simulation_only():
     """The engine compares no payoff with a closed form: it imports neither
     ``oracle`` nor ``verify``, and the convention search lives in
@@ -641,9 +623,6 @@ def test_engine_is_simulation_only():
             imported.add((node.module or "").rsplit(".", 1)[-1])
             imported.update(alias.name for alias in node.names)
     assert not imported & {"oracle", "verify"}
-    for name in ("discover_convention", "CalibrationError",
-                 "ConventionFinding"):
-        assert not hasattr(engine, name), name
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.7, PI / 2, 2.5])

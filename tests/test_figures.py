@@ -39,30 +39,43 @@ def test_sweep_setup_validation():
 
 
 OUT_OF_DOMAIN = [
-    # (overrides, message): each names the first bad point in grid-major,
-    # channel-minor order, as a point-by-point sweep would meet it
-    (dict(var="eps", start=0.0, stop=0.2, count=40000, channels=("ad",),
+    # (id, overrides, message): each message names the first bad point in
+    # grid-major, channel-minor order, as a point-by-point sweep would meet
+    # it. Each id is fixed text, so restating a message does not rename its
+    # case; the ids are the names the cases had when pytest derived them
+    # from the messages.
+    ("overrides0-epsilon 0.10000250006250158 outside [0, 0.1]",
+     dict(var="eps", start=0.0, stop=0.2, count=40000, channels=("ad",),
           p=0.3), f"epsilon {np.linspace(0.0, 0.2, 40000)[20000]} outside "
                   "[0, 0.1]"),
-    (dict(var="p", start=0.0, stop=2.0, count=5, channels=("none", "ad")),
+    ("overrides1-p 1.5 outside [0, 1]",
+     dict(var="p", start=0.0, stop=2.0, count=5, channels=("none", "ad")),
      "p 1.5 outside [0, 1]"),
-    (dict(var="delta", start=-1.0, stop=1.0, count=5), "delta -1.0 outside "
+    ("overrides2-delta -1.0 outside [0, 2pi]",
+     dict(var="delta", start=-1.0, stop=1.0, count=5), "delta -1.0 outside "
                                                        "[0, 2pi]"),
-    (dict(var="beta3", start=2 * PI, stop=7.0, count=4, channels=("ad",)),
+    ("overrides3-beta3 6.5221235381197245 outside [0, 2pi]",
+     dict(var="beta3", start=2 * PI, stop=7.0, count=4, channels=("ad",)),
      f"beta3 {np.linspace(2 * PI, 7.0, 4)[1]} outside [0, 2pi]"),
-    (dict(var="beta2", start=0.0, stop=7.0, count=8, delta=7.0),
+    ("overrides4-delta 7.0 outside [0, 2pi]",
+     dict(var="beta2", start=0.0, stop=7.0, count=8, delta=7.0),
      "delta 7.0 outside [0, 2pi]"),
-    (dict(var="eps", start=0.0, stop=0.05, count=3, p=1.5,
+    ("overrides5-p 1.5 outside [0, 1]",
+     dict(var="eps", start=0.0, stop=0.05, count=3, p=1.5,
           channels=("none", "dp")), "p 1.5 outside [0, 1]"),
-    (dict(var="eps", start=0.0, stop=0.05, count=3, p=1.5,
+    ("overrides6-beta4 -2.0 outside [0, 2pi]",
+     dict(var="eps", start=0.0, stop=0.05, count=3, p=1.5,
           channels=("dp",), betas=(0.0, 0.0, 0.0, -2.0)),
      "beta4 -2.0 outside [0, 2pi]"),
-    (dict(var="p", start=-1.0, stop=1.0, count=5, channels=("none",)),
+    ("overrides7-p -1.0 outside [0, 1]",
+     dict(var="p", start=-1.0, stop=1.0, count=5, channels=("none",)),
      "p -1.0 outside [0, 1]"),
 ]
 
 
-@pytest.mark.parametrize("overrides,message", OUT_OF_DOMAIN)
+@pytest.mark.parametrize("overrides,message",
+                         [row[1:] for row in OUT_OF_DOMAIN],
+                         ids=[row[0] for row in OUT_OF_DOMAIN])
 def test_out_of_domain_sweep_is_refused_before_any_play(overrides, message,
                                                         monkeypatch):
     plays = []

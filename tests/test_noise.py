@@ -109,6 +109,40 @@ def test_corner_stack_takes_one_kind_per_point():
         assert np.array_equal(corner, corner_stack(kind, p)[0])
 
 
+@pytest.mark.parametrize("kinds, p, count", [
+    ("ad", [0.1, 0.2, 0.3], 3),
+    (["ad", "dp", "pd"], 0.4, 3),
+    (["ad", "dp"], [0.1, 0.9], 2),
+    ("pd", 0.5, 1),
+    ([], [], 0),
+    ([], 0.5, 0),
+    ("dp", [], 0),
+], ids=["one-kind", "one-strength", "one-per-point", "one-point",
+        "empty", "no-kinds-one-strength", "one-kind-no-strengths"])
+def test_corner_stack_accepts_one_of_either_or_one_per_point(kinds, p,
+                                                             count):
+    corners = corner_stack(kinds, p)
+    assert corners.shape == (count, 4, 2, 2)
+    kinds = [kinds] * count if isinstance(kinds, str) else kinds
+    strengths = np.broadcast_to(p, (count,))
+    for kind, strength, corner in zip(kinds, strengths, corners):
+        assert np.array_equal(corner, corner_stack(kind, strength)[0])
+
+
+@pytest.mark.parametrize("kinds, p", [
+    (["ad", "ad"], [0.1, 0.2, 0.3]),
+    (["ad", "dp"], [0.1, 0.2, 0.3]),
+    (["ad", "dp", "pd"], []),
+    ([], [0.1, 0.2]),
+], ids=["same-kind", "mixed-kinds", "no-strengths", "no-kinds"])
+def test_corner_stack_refuses_mismatched_lengths(kinds, p):
+    """More than one kind and more than one strength must pair up, one of
+    each per point; the error names both lengths."""
+    with pytest.raises(ValueError, match=(
+            rf"^{len(kinds)} channel kinds and {len(p)} strengths: ")):
+        corner_stack(kinds, p)
+
+
 def test_stacks_refuse_like_noise_spec():
     with pytest.raises(ValueError, match=r"^p 1\.5 outside \[0, 1\]$"):
         kraus_stack("ad", [0.2, 1.5, -1.0])

@@ -98,7 +98,7 @@ def test_one_run_plays_the_convention_search_once(monkeypatch):
     assert len(plays) == 1
     assert verify.run_all() == first
     assert len(plays) == 2
-    verify.discover_convention()
+    verify._chain_search()
     assert len(plays) == 3
 
 
@@ -130,6 +130,19 @@ def test_failed_extended_search_is_a_fail_result(monkeypatch, capsys):
     assert lines[1].startswith("convention_discovery")
     assert "FAIL" in lines[1]
     assert lines[-1] == "verify: 2 checks, 1 pass, 0 classified, 1 fail"
+
+
+def test_discovery_of_another_cell_is_a_fail_result(monkeypatch):
+    """One fitting cell that is not ``canonical/all-perqubit`` fails the
+    discovery check, with the cell it found."""
+    rows = dict.fromkeys(verify._ANCHOR_ROWS, 0.0)
+    monkeypatch.setattr(verify, "_chain_search", lambda: {
+        "printed/all-total": rows,
+        "canonical/all-perqubit": dict.fromkeys(rows, 1.0)})
+    result = verify.check_convention_discovery()
+    assert (result.status, result.residual) == ("FAIL", 0.0)
+    assert result.detail == ("found printed/all-total, expected "
+                             "canonical/all-perqubit")
 
 
 def test_printed_form_rule_branches():
