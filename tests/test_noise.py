@@ -112,12 +112,11 @@ def test_corner_stack_takes_one_kind_per_point():
 @pytest.mark.parametrize("kinds, p, count", [
     ("ad", [0.1, 0.2, 0.3], 3),
     (["ad", "dp", "pd"], 0.4, 3),
-    (["ad", "dp"], [0.1, 0.9], 2),
     ("pd", 0.5, 1),
     ([], [], 0),
     ([], 0.5, 0),
     ("dp", [], 0),
-], ids=["one-kind", "one-strength", "one-per-point", "one-point",
+], ids=["one-kind", "one-strength", "one-point",
         "empty", "no-kinds-one-strength", "one-kind-no-strengths"])
 def test_corner_stack_accepts_one_of_either_or_one_per_point(kinds, p,
                                                              count):
