@@ -5,15 +5,17 @@ a parameter grid), ``figure`` (preset sweeps 1-9), ``verify`` (cross-check
 registry); ``payoff`` is the one-point ``sweep`` of the same flags, plus
 the fixed-coin overrides ``--theta`` and ``--phi1..4``, which ``sweep`` does
 not take: it recalibrates the coins at each grid point. The game flags are
-the knobs a payoff can depend on; gamma and the alphas, the coins' gamma
-phases, cancel from every payoff, so they have no flag and stay 0
-(``coins.coin_angles`` still takes them).
+the knobs a payoff can depend on; those that calibrate the coins are
+exactly the ones ``coins.coin_angles`` takes.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 register
 size limit. Only the ``verify`` command calls into the ``verify`` module;
 the paper's chain convention is ``--canonical --convention all-perqubit``.
 
 Angles accept multiples of pi ("pi/5", "2pi/3", "-pi/2") as well as plain
-floats and fractions of them ("0.25", ".5", "1e-3", "1/168").
+floats and fractions of them ("0.25", ".5", "1e-3", "1/168"). A negative
+value other than a plain decimal follows its flag after "=", as in
+``--theta=-pi/2``: argparse takes the "-pi/2" of ``--theta -pi/2`` for an
+option.
 
 ``--config FILE`` reads an INI file whose ``[game]``, ``[noise]`` and
 ``[sweep]`` keys are the flags' dests (``max_phases = true``), each read
@@ -95,6 +97,11 @@ _ANGLE = dict(type=parse_angle, metavar="ANGLE")
 _COIN_ANGLE = dict(type=_parse_coin_angle, metavar="ANGLE")
 _SWITCH = dict(action="store_const", const=True)
 
+#: The help note of the flags that take negative angles (see the module
+#: docstring).
+_EQUALS_FORM = ("a negative value written with pi, / or an exponent needs "
+                "the = form (--{}=-pi/2)")
+
 #: The coin rotations only ``payoff`` sets, in ``coin_angles`` row order.
 _COIN_OVERRIDES = ("theta", "phi1", "phi2", "phi3", "phi4")
 
@@ -106,11 +113,14 @@ _KNOBS = (
     ("game", "eps", dict(type=parse_angle, metavar="E",
                          help="classical bias offset (e.g. 1/168)")),
     ("game", "theta", dict(_COIN_ANGLE, help="rotation of coin A in "
-                           "[-pi, pi], in place of its calibrated one")),
+                           "[-pi, pi], in place of its calibrated one; "
+                           + _EQUALS_FORM.format("theta"))),
     ("game", "delta", dict(_ANGLE, help="phase of coin A, in [0, 2pi]")),
     *(("game", f"phi{i}", dict(_COIN_ANGLE, help=f"rotation of B's sub-coin "
                                f"{i} in [-pi, pi], in place of its "
-                               "calibrated one")) for i in range(1, 5)),
+                               "calibrated one; "
+                               + _EQUALS_FORM.format(f"phi{i}")))
+      for i in range(1, 5)),
     *(("game", f"beta{i}", dict(_ANGLE, help=f"phase of B's sub-coin {i}, "
                                 "in [0, 2pi]")) for i in range(1, 5)),
     ("game", "max_phases", dict(_SWITCH, help="set the four beta phases to "

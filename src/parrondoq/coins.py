@@ -147,50 +147,43 @@ def _asin_sqrt(q: np.ndarray) -> np.ndarray:
                     ).reshape(q.shape)
 
 
-#: The names ``coin_angles`` gives B's sub-coin phases in its errors, in
-#: the order it checks them: each sub-coin's (alpha, beta) in turn.
-_SUB_PHASE_NAMES = tuple(f"{name}{i}" for i in range(1, 5)
-                         for name in ("alpha", "beta"))
-
-
-def coin_angles(epsilon, gamma=0.0, delta=0.0, alphas=(0.0,) * 4,
-                betas=(0.0,) * 4, assignment: str = "printed") -> np.ndarray:
+def coin_angles(epsilon, delta=0.0, betas=(0.0,) * 4,
+                assignment: str = "printed") -> np.ndarray:
     """Rotation angles from the classical winning probabilities, for G
     points at once: shape ``(G, 5, 3)``, the (theta, gamma, delta) of coin
-    A and then of B's sub-coins in history order 00,01,10,11.
+    A and then of B's sub-coins in history order 00,01,10,11. Every gamma
+    is 0; README, "The model", says why.
 
-    Every knob is a scalar or an array of G values (``alphas`` and
-    ``betas`` hold four of either: the sub-coins' gammas and deltas).
-    sin^2 of each rotation equals the corresponding biased-coin
-    probability: 1/2 - eps for game A and (7/10, 1/4, 1/4, 9/10) - eps for
-    B's sub-coins. ``assignment="canonical"`` reverses the B list (history
-    00 gets the 9/10 coin), the ordering of the classical history-dependent
-    game; the built-in chain reference values are reproduced only under
-    this assignment (``verify``'s ``convention_search`` and
+    Every knob is a scalar or an array of G values (``betas`` holds four
+    of either: the sub-coins' deltas). sin^2 of each rotation equals the
+    corresponding biased-coin probability: 1/2 - eps for game A and
+    (7/10, 1/4, 1/4, 9/10) - eps for B's sub-coins.
+    ``assignment="canonical"`` reverses the B list (history 00 gets the
+    9/10 coin), the ordering of the classical history-dependent game; the
+    built-in chain reference values are reproduced only under this
+    assignment (``verify``'s ``convention_search`` and
     ``convention_discovery`` checks).
 
     Raises ValueError for the first point's epsilon outside [0, 0.1], then
-    an unknown assignment or other than four sub-coin phases, then the
-    first point's first phase outside [0, 2pi]: all epsilons come first.
-    Errors name sub-coin N's phases ``alphaN`` and ``betaN``, N = 1..4 in
-    history order, and coin A's ``gamma`` and ``delta``.
+    an unknown assignment or other than four betas, then the first point's
+    first phase outside [0, 2pi]: all epsilons come first. Errors name
+    sub-coin N's phase ``betaN``, N = 1..4 in history order, and coin A's
+    ``delta``, and check them in that order.
     """
     _refuse_outside([("epsilon", epsilon)], 0.1, "[0, 0.1]")
     if assignment not in ("printed", "canonical"):
         raise ValueError(f"unknown assignment {assignment!r}")
-    if len(alphas) != 4 or len(betas) != 4:
+    if len(betas) != 4:
         raise ValueError("game B takes exactly four sub-coins")
-    sub_phases = (v for pair in zip(alphas, betas) for v in pair)
-    _refuse_outside([*zip(_SUB_PHASE_NAMES, sub_phases),
-                     ("gamma", gamma), ("delta", delta)], TAU, "[0, 2pi]")
+    _refuse_outside([*((f"beta{i}", beta) for i, beta in enumerate(betas, 1)),
+                     ("delta", delta)], TAU, "[0, 2pi]")
     eps = np.asarray(epsilon, dtype=float)
     probs = [0.7 - eps, 0.25 - eps, 0.25 - eps, 0.9 - eps]
     if assignment == "canonical":
         probs.reverse()
     thetas = _asin_sqrt(np.array([0.5 - eps] + probs))
-    phases = [(gamma, delta)] + list(zip(alphas, betas))
-    columns = [v for theta, pair in zip(thetas, phases)
-               for v in (theta, *pair)]
+    columns = [v for theta, phase in zip(thetas, (delta, *betas))
+               for v in (theta, 0.0, phase)]
     angles = np.empty(np.broadcast_shapes(*map(np.shape, columns)) + (15,))
     for i, column in enumerate(columns):
         angles[..., i] = column
@@ -200,14 +193,12 @@ def coin_angles(epsilon, gamma=0.0, delta=0.0, alphas=(0.0,) * 4,
 def calibrate_classical(
     epsilon: float,
     *,
-    gamma: float = 0.0,
     delta: float = 0.0,
-    alphas: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
     betas: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
     assignment: str = "printed",
 ) -> GameConfig:
     """The one-point case of ``coin_angles``, as validated coins."""
-    angles = coin_angles(epsilon, gamma, delta, alphas, betas, assignment)
+    angles = coin_angles(epsilon, delta, betas, assignment)
     coin_a, *subs = (CoinParams(*row) for row in angles[0].tolist())
     return GameConfig(epsilon, coin_a, tuple(subs))
 

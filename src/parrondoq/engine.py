@@ -200,7 +200,9 @@ def play_many(sequence: str, points,
               convention: PayoffConvention = DEFAULT_CONVENTION
               ) -> list[PayoffReport]:
     """Payoffs of one sequence string at many ``(GameConfig, NoiseSpec)``
-    points, in order: ``play_arrays`` on their angles and corners."""
+    points, in order: ``play_arrays`` on their angles and corners. The
+    points may be any iterable; they are read once."""
+    points = list(points)
     angles = np.array([angle for cfg, _ in points
                        for c in (cfg.coin_a, *cfg.coin_b)
                        for angle in (c.theta, c.gamma, c.delta)]

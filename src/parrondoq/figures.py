@@ -48,10 +48,8 @@ class SweepSetup:
     """One sweep: the varied quantity, its grid, and the fixed game knobs.
 
     A beta left as None is derived: from delta under ``max_phases``, else 0.
-    An explicit or swept beta always wins. The coins' gamma phases (gamma
-    and the alphas of ``coin_angles``) are 0: each is a diagonal phase on
-    the qubit its game writes, which later games only read as history, so
-    no payoff depends on them.
+    An explicit or swept beta always wins. The knobs are those
+    ``coin_angles`` takes.
     """
     sequence: str
     var: str

@@ -150,13 +150,13 @@ def check_pd_diagonal_invariance() -> CheckResult:
 
 def check_gamma_alpha_independence() -> CheckResult:
     """The payoff never depends on the gamma-type phases of either coin."""
-    fig1 = FIGURES[1]
+    fig1 = _fig1_config()
     points = []
     for gamma in (0.0, 1.1, 5.9):
         for alpha in (0.0, 0.7, 2.3):
-            cfg = calibrate_classical(
-                fig1.eps, gamma=gamma, delta=fig1.delta,
-                alphas=(alpha, 0.3, alpha, 1.9), betas=fig1.betas)
+            subs = zip(fig1.coin_b, (alpha, 0.3, alpha, 1.9))
+            cfg = replace(fig1, coin_a=replace(fig1.coin_a, gamma=gamma),
+                          coin_b=tuple(replace(c, gamma=a) for c, a in subs))
             points += [(cfg, NoiseSpec(kind, 0.4))
                        for kind in ("ad", "dp", "pd")]
     base: dict = {}

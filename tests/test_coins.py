@@ -10,6 +10,8 @@ from parrondoq.coins import (CoinParams, GameConfig, ParseError,
                              SizeLimitError, block_coins, calibrate_classical,
                              coin_angles, coin_matrices, embed, make_coin_a,
                              make_coin_b, max_payoff_phases, parse_sequence)
+from parrondoq.engine import play_arrays
+from parrondoq.noise import corner_stack
 from parrondoq.reference import build_unitary
 
 PI = math.pi
@@ -140,11 +142,9 @@ def test_calibrate_canonical_reverses_b_list():
 
 
 def test_calibrate_passes_phases_through():
-    cfg = calibrate_classical(0.0, gamma=0.5, delta=1.5,
-                              alphas=(0.1, 0.2, 0.3, 0.4),
-                              betas=(1.0, 2.0, 3.0, 4.0))
-    assert cfg.coin_a.gamma == 0.5 and cfg.coin_a.delta == 1.5
-    assert [c.gamma for c in cfg.coin_b] == [0.1, 0.2, 0.3, 0.4]
+    cfg = calibrate_classical(0.0, delta=1.5, betas=(1.0, 2.0, 3.0, 4.0))
+    assert cfg.coin_a.gamma == 0.0 and cfg.coin_a.delta == 1.5
+    assert [c.gamma for c in cfg.coin_b] == [0.0] * 4
     assert [c.delta for c in cfg.coin_b] == [1.0, 2.0, 3.0, 4.0]
 
 
@@ -160,9 +160,7 @@ def test_calibrate_validates_epsilon_and_assignment():
 def random_knobs(rng, count):
     """``count`` points of in-range calibration knobs drawn from ``rng``."""
     return dict(epsilon=rng.uniform(0.0, 0.1, count),
-                gamma=rng.uniform(0.0, 2 * PI, count),
                 delta=rng.uniform(0.0, 2 * PI, count),
-                alphas=tuple(rng.uniform(0.0, 2 * PI, (4, count))),
                 betas=tuple(rng.uniform(0.0, 2 * PI, (4, count))))
 
 
@@ -174,16 +172,14 @@ def test_coin_angles_equal_calibrate_classical(assignment):
     assert angles.shape == (200, 5, 3)
     for g, row in enumerate(angles):
         cfg = calibrate_classical(
-            float(knobs["epsilon"][g]), gamma=float(knobs["gamma"][g]),
-            delta=float(knobs["delta"][g]),
-            alphas=tuple(float(a[g]) for a in knobs["alphas"]),
+            float(knobs["epsilon"][g]), delta=float(knobs["delta"][g]),
             betas=tuple(float(b[g]) for b in knobs["betas"]),
             assignment=assignment)
         want = [[c.theta, c.gamma, c.delta]
                 for c in (cfg.coin_a, *cfg.coin_b)]
         assert row.tolist() == want
     # scalar knobs broadcast against arrays; all-scalar is one point
-    mixed = coin_angles(0.05, gamma=knobs["gamma"][:3], assignment=assignment)
+    mixed = coin_angles(0.05, delta=knobs["delta"][:3], assignment=assignment)
     assert mixed.shape == (3, 5, 3)
     assert coin_angles(0.05, assignment=assignment).shape == (1, 5, 3)
 
@@ -207,26 +203,22 @@ OUT_OF_RANGE = [
      dict(epsilon=-0.01), "epsilon -0.01 outside [0, 0.1]"),
     ("knobs2-epsilon nan outside [0, 0.1]",
      dict(epsilon=float("nan")), "epsilon nan outside [0, 0.1]"),
-    ("knobs3-gamma 7.0 outside [0, 2pi]",
-     dict(gamma=7.0), "gamma 7.0 outside [0, 2pi]"),
     ("knobs4-delta -1.0 outside [0, 2pi]",
      dict(delta=-1.0), "delta -1.0 outside [0, 2pi]"),
-    ("knobs5-alpha3 6.5 outside [0, 2pi]",
-     dict(alphas=(0.0, 0.0, 6.5, 0.0)), "alpha3 6.5 outside [0, 2pi]"),
     ("knobs6-beta2 -0.5 outside [0, 2pi]",
      dict(betas=(0.0, -0.5, 0.0, 0.0)), "beta2 -0.5 outside [0, 2pi]"),
     ("knobs7-unknown assignment 'other'",
      dict(assignment="other"), "unknown assignment 'other'"),
     # one point's checks run in calibration order: epsilon, assignment,
-    # the sub-coins' (gamma, delta) in turn, then coin A's
+    # the sub-coins' betas in turn, then coin A's delta
     ("knobs8-epsilon 0.5 outside [0, 0.1]",
      dict(epsilon=0.5, assignment="other"), "epsilon 0.5 outside [0, 0.1]"),
     ("knobs9-beta4 8.0 outside [0, 2pi]",
-     dict(gamma=7.0, betas=(0.0, 0.0, 0.0, 8.0)),
+     dict(delta=7.0, betas=(0.0, 0.0, 0.0, 8.0)),
      "beta4 8.0 outside [0, 2pi]"),
     ("knobs10-alpha1 9.5 outside [0, 2pi]",
-     dict(delta=9.0, alphas=(9.5, 0.0, 0.0, 0.0)),
-     "alpha1 9.5 outside [0, 2pi]"),
+     dict(delta=9.0, betas=(9.5, 0.0, 0.0, 0.0)),
+     "beta1 9.5 outside [0, 2pi]"),
 ]
 
 
@@ -244,7 +236,7 @@ def test_coin_angles_and_calibration_refuse_alike(knobs, message):
 
 def test_coin_angles_need_four_sub_coins():
     with pytest.raises(ValueError, match="exactly four sub-coins"):
-        coin_angles(0.0, alphas=(0.0,) * 3)
+        coin_angles(0.0, betas=(0.0,) * 3)
     with pytest.raises(ValueError, match="exactly four sub-coins"):
         calibrate_classical(0.0, betas=(0.0,) * 5)
 
@@ -252,10 +244,10 @@ def test_coin_angles_need_four_sub_coins():
 def test_coin_angles_name_the_first_bad_point():
     with pytest.raises(ValueError, match=r"^epsilon 0\.3 outside"):
         coin_angles(np.array([0.0, 0.05, 0.3, 0.4]))
-    # point 1 fails on its delta before point 2 on its gamma
+    # point 1 fails on its delta before point 2 on its beta1
     with pytest.raises(ValueError, match=r"^delta 7\.0 outside"):
-        coin_angles(0.0, gamma=np.array([0.0, 0.0, 8.0]),
-                    delta=np.array([0.0, 7.0, 0.0]))
+        coin_angles(0.0, delta=np.array([0.0, 7.0, 0.0]),
+                    betas=(np.array([0.0, 0.0, 8.0]), 0.0, 0.0, 0.0))
     # epsilon is checked at every point before any phase at any point
     with pytest.raises(ValueError, match=r"^epsilon 0\.5 outside"):
         coin_angles(np.array([0.05, 0.5]), delta=7.0)
@@ -270,6 +262,26 @@ def test_max_payoff_phases():
     # all normalized into [0, 2pi)
     for v in max_payoff_phases(5.9):
         assert 0.0 <= v < 2 * PI
+
+
+def test_max_payoff_phases_is_the_maximum():
+    """No random (delta, beta1..beta4) point beats the family
+    ``max_payoff_phases(delta)`` on AAB, and the family pays the same at
+    every delta: undecohered, and under each channel at p = 0.5. One batch
+    plays every point on every channel."""
+    rng = np.random.default_rng(1314)
+    count = 4096
+    delta = rng.uniform(0.0, 2 * PI, count)
+    betas = rng.uniform(0.0, 2 * PI, (4, count))
+    family = np.array([max_payoff_phases(d) for d in delta.tolist()]).T
+    angles = coin_angles(1 / 168, delta=np.tile(delta, 2),
+                         betas=tuple(np.concatenate([betas, family], axis=1)))
+    channels = corner_stack(["none", "ad", "dp", "pd"], [0.0, 0.5, 0.5, 0.5])
+    corners = np.tile(channels, (len(angles), 1, 1, 1))
+    payoffs = play_arrays("AAB", angles, corners)[0].reshape(2, count, 4)
+    random_, best = payoffs
+    assert np.ptp(best, axis=0).max() <= 1e-12
+    assert (random_ - best).max() <= 1e-12
 
 
 # --- sequence parsing -----------------------------------------------------

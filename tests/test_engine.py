@@ -2,6 +2,7 @@ import ast
 import math
 import pathlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,14 @@ def fig1_config():
 def canonical_config(eps=1 / 168):
     return calibrate_classical(eps, betas=max_payoff_phases(0.0),
                                assignment="canonical")
+
+
+def with_gammas(cfg, gamma, alphas=(0.0,) * 4):
+    """``cfg`` with coin A's gamma phase and B's sub-coin gamma phases (the
+    alphas) set."""
+    return replace(cfg, coin_a=replace(cfg.coin_a, gamma=gamma),
+                   coin_b=tuple(replace(coin, gamma=alpha) for coin, alpha
+                                in zip(cfg.coin_b, alphas)))
 
 
 # --- initial state ---------------------------------------------------------
@@ -360,12 +369,12 @@ def random_point(rng):
         cfg = GameConfig(0.0, random_coin(rng),
                          tuple(random_coin(rng) for _ in range(4)))
     else:
-        cfg = calibrate_classical(
-            float(rng.uniform(0.0, 0.1)),
-            gamma=float(rng.uniform(0.0, 2 * PI)),
-            delta=float(rng.uniform(0.0, 2 * PI)),
+        eps = float(rng.uniform(0.0, 0.1))
+        gamma = float(rng.uniform(0.0, 2 * PI))
+        cfg = with_gammas(calibrate_classical(
+            eps, delta=float(rng.uniform(0.0, 2 * PI)),
             betas=tuple(float(b) for b in rng.uniform(0.0, 2 * PI, 4)),
-            assignment=("printed", "canonical")[kind])
+            assignment=("printed", "canonical")[kind]), gamma)
     return cfg, NoiseSpec(str(rng.choice(KINDS)), float(rng.uniform()))
 
 
@@ -398,12 +407,13 @@ def test_play_many_equals_per_point_plays_exactly():
     for eps in (1 / 168, 1 / 112):
         for assignment in ("printed", "canonical"):
             for kind in KINDS:
-                cfg = calibrate_classical(
-                    eps, gamma=float(rng.uniform(0.0, 2 * PI)),
-                    delta=float(rng.uniform(0.0, 2 * PI)),
-                    alphas=tuple(float(a) for a in rng.uniform(0, 2 * PI, 4)),
+                gamma, delta = (float(rng.uniform(0.0, 2 * PI))
+                                for _ in range(2))
+                alphas = tuple(float(a) for a in rng.uniform(0, 2 * PI, 4))
+                cfg = with_gammas(calibrate_classical(
+                    eps, delta=delta,
                     betas=tuple(float(b) for b in rng.uniform(0, 2 * PI, 4)),
-                    assignment=assignment)
+                    assignment=assignment), gamma, alphas)
                 points.append((cfg, NoiseSpec(kind, float(rng.uniform()))))
     points = [points[i] for i in rng.permutation(len(points))]
     # A and AA are read out only as the sweep ends; B^9 fills the register
@@ -420,8 +430,9 @@ def test_no_expectation_depends_on_gamma_or_the_alphas():
     which later games only read as history, so they cancel from every
     per-qubit expectation: random ones give what zero ones give, on random
     plans up to the full register, on every channel, under both
-    probability orders and every convention. This is why the CLI and
-    ``SweepSetup`` have no such knob."""
+    probability orders and every convention. This is why neither the CLI
+    nor the calibration takes them: they are set here on calibrated
+    coins."""
     rng = np.random.default_rng(2002)
     sequences = [seq for seq, _, _ in random_cases(314, 30)] + ["B^9", "A^11"]
     for sequence in sequences:
@@ -432,13 +443,13 @@ def test_no_expectation_depends_on_gamma_or_the_alphas():
                 delta = float(rng.uniform(0.0, 2 * PI))
                 betas = tuple(float(b) for b in rng.uniform(0, 2 * PI, 4))
                 noise = NoiseSpec(kind, float(rng.uniform()))
-                phased.append((calibrate_classical(
-                    eps, gamma=float(rng.uniform(0.0, 2 * PI)), delta=delta,
-                    alphas=tuple(float(a) for a in rng.uniform(0, 2 * PI, 4)),
-                    betas=betas, assignment=assignment), noise))
-                zero.append((calibrate_classical(
-                    eps, delta=delta, betas=betas, assignment=assignment),
+                cfg = calibrate_classical(eps, delta=delta, betas=betas,
+                                          assignment=assignment)
+                phased.append((with_gammas(
+                    cfg, float(rng.uniform(0.0, 2 * PI)),
+                    tuple(float(a) for a in rng.uniform(0, 2 * PI, 4))),
                     noise))
+                zero.append((cfg, noise))
         for name, conv in CONVENTION_NAMES.items():
             for got, want in zip(play_many(sequence, phased, conv),
                                  play_many(sequence, zero, conv),
@@ -605,6 +616,9 @@ def test_play_many_edge_cases():
     cfg, noise = fig1_config(), NoiseSpec("dp", 0.3)
     assert play_many("AAB", []) == []
     assert play_many("AAB", [(cfg, noise)]) == [play("AAB", cfg, noise)]
+    # a one-shot iterable gives what the list of its points gives
+    points = [(cfg, noise), (canonical_config(), NoiseSpec("ad", 0.5))]
+    assert play_many("AAB", iter(points)) == play_many("AAB", points)
     with pytest.raises(SizeLimitError):
         play_many("B^12", [(cfg, noise)])
 

@@ -77,6 +77,9 @@ STEP = [
     ('payoff --config "$bad"', ["payoff", "--config", "bad.ini"], 2, 0, {}),
     ("payoff --seq AAB --p 7", ["payoff", "--seq", "AAB", "--p", "7"], 2, 0,
      {}),
+    # a negative angle written with pi takes the flag's "=" form
+    ("payoff --seq AAB --theta=-pi/2",
+     ["payoff", "--seq", "AAB", "--theta=-pi/2"], 0, 1, {1: "payoff=0.2"}),
     ("sweep --seq AAB --var p --grid 0:3:4",
      ["sweep", "--seq", "AAB", "--var", "p", "--grid", "0:3:4"], 2, 0, {}),
     ('payoff --seq "(B^3)^4"', ["payoff", "--seq", "(B^3)^4"], 3, 0, {}),

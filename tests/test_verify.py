@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 
-from parrondoq import cli, engine, verify
+from parrondoq import cli, engine, oracle, verify
 from parrondoq.coins import calibrate_classical
+from parrondoq.figures import FIGURES, sweep_rows
 from parrondoq.noise import NoiseSpec
 
 # Each check's id, status and tolerance are pinned by the registry table in
@@ -143,6 +145,44 @@ def test_discovery_of_another_cell_is_a_fail_result(monkeypatch):
     assert (result.status, result.residual) == ("FAIL", 0.0)
     assert result.detail == ("found printed/all-total, expected "
                              "canonical/all-perqubit")
+
+
+def test_direct_match_is_a_fail_result(monkeypatch):
+    """A direct cell, printed order without per-qubit normalization, that
+    fits every row fails the search check, with the cell it matched."""
+    rows = dict.fromkeys(("B:ad", "BB:pd", "BBB:dp"), 0.0)
+    monkeypatch.setattr(verify, "_chain_search", lambda: {
+        "printed/all-total": rows,
+        "printed/results-total": dict.fromkeys(rows, 1.0)})
+    result = verify.check_convention_search()
+    assert (result.status, result.residual) == ("FAIL", 0.0)
+    assert result.detail == "unexpectedly matched printed/all-total"
+
+
+@pytest.mark.parametrize("gap, status", [(0.0, "pass"), (0.01, "FAIL")])
+def test_b3_ad_gap_alike_at_every_p_is_not_classified(monkeypatch, gap,
+                                                      status):
+    """The truncated-cubic class needs agreement at p = 0 and a larger gap
+    further on. With no gap the check passes; with one gap of 0.01, above
+    the tolerance at p = 0 as well, it fails."""
+    monkeypatch.setattr(verify, "_chain_play", lambda seq, grid: [
+        oracle.chain_b(len(seq), kind, p, eps) + gap
+        for kind, p, eps in grid])
+    result = verify.check_chain_b3_ad_truncation()
+    assert (result.status, result.detail) == (status, "")
+    assert result.residual == pytest.approx(gap, rel=1e-12, abs=0.0)
+
+
+def test_fig2_symmetry_passes_when_s_is_zero(monkeypatch):
+    """With every beta in {0, pi}, S = 0 and preset 2's phase-damping curve
+    mirrors about pi/2, so the check passes with its pairing count."""
+    setup = replace(FIGURES[2], betas=(0.0, math.pi, 0.0, math.pi))
+    monkeypatch.setattr(verify, "figure_rows",
+                        lambda number: sweep_rows(setup))
+    result = verify.check_fig2_symmetry()
+    assert result.status == "pass"
+    assert result.residual <= 1e-9
+    assert result.detail == "51 of 51 points paired"
 
 
 def test_printed_form_rule_branches():
