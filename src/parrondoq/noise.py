@@ -77,11 +77,13 @@ def kraus_single(spec: NoiseSpec) -> list[np.ndarray]:
     return list(kraus_stack(spec.kind, spec.p)[0])
 
 
-def completeness_defect(ops: list[np.ndarray]) -> float:
-    """max-entry residual of sum_k E_k^dag E_k - I."""
-    dim = ops[0].shape[0]
-    acc = sum(e.conj().T @ e for e in ops)
-    return float(np.max(np.abs(acc - np.eye(dim))))
+def completeness_defect(ops) -> float:
+    """max-entry residual of sum_k E_k^dag E_k - I, for one set of K
+    operators (a list, or an array ``(K, d, d)``) or the worst over a stack
+    of sets ``(..., K, d, d)`` such as ``kraus_stack`` gives."""
+    ops = np.asarray(ops)
+    acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
+    return float(np.max(np.abs(acc - np.eye(ops.shape[-1]))))
 
 
 def corner_stack(kinds, p) -> np.ndarray:

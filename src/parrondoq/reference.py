@@ -8,10 +8,12 @@ same numbers the literal way, and the tests and ``verify`` hold the sweep to
 it, for registers up to ``coins.MAX_QUBITS``.
 
 Gates and the channel act on their own qubit axes instead of as lifted
-2^n x 2^n matrices: a game on k qubits costs O(4^n 2^k), the channel O(4^n)
-per qubit. ``coins.embed`` (literal Kronecker lifts) and ``lift_enumerated``
-(explicit n-qubit Kraus products) are the independent routes these are
-checked against.
+2^n x 2^n matrices. A game touches no qubit after its target, so the
+sequence unitary grows one qubit per game: a game on k qubits ending at
+qubit t costs O(4^(t+1) 2^k), the channel O(4^n) per qubit.
+``coins.embed`` (literal Kronecker lifts) and ``lift_enumerated`` (explicit
+n-qubit Kraus products, one stacked array) are the independent routes these
+are checked against.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 from .coins import (MAX_QUBITS, GameConfig, SequencePlan, SizeLimitError,
                     make_coin_a, make_coin_b)
 from .engine import DEFAULT_CONVENTION, PayoffConvention, PayoffReport, _score
-from .noise import NoiseSpec, corner_stack, kraus_single
+from .noise import NoiseSpec, corner_stack, kraus_stack
 
 #: lift_enumerated is for validation only; beyond this it refuses.
 MAX_ENUMERATED_QUBITS = 4
@@ -57,9 +59,10 @@ def apply_channel(rho: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     return rho.reshape(dim, dim)
 
 
-def lift_enumerated(spec: NoiseSpec, n_qubits: int) -> list[np.ndarray]:
+def lift_enumerated(spec: NoiseSpec, n_qubits: int) -> np.ndarray:
     """All n-fold tensor products of the single-qubit set (k^n operators),
-    in ``itertools.product`` order, built as one stacked outer product.
+    in ``itertools.product`` order, as one stacked outer product of shape
+    ``(k^n, 2^n, 2^n)``.
 
     Validation path only; raises SizeLimitError above MAX_ENUMERATED_QUBITS.
     """
@@ -69,14 +72,14 @@ def lift_enumerated(spec: NoiseSpec, n_qubits: int) -> list[np.ndarray]:
         raise SizeLimitError(
             f"enumerated lift limited to {MAX_ENUMERATED_QUBITS} qubits, "
             f"got {n_qubits}")
-    singles = np.array(kraus_single(spec))
+    singles = kraus_stack(spec.kind, spec.p)[0]
     ops = singles
     for _ in range(n_qubits - 1):
         k, d = len(ops), ops.shape[-1]
         ops = (ops[:, None, :, None, :, None]
                * singles[None, :, None, :, None, :]
                ).reshape(k * len(singles), 2 * d, 2 * d)
-    return list(ops)
+    return ops
 
 
 def _on_axes(op: np.ndarray, tensor: np.ndarray, first: int) -> np.ndarray:
@@ -89,14 +92,23 @@ def _on_axes(op: np.ndarray, tensor: np.ndarray, first: int) -> np.ndarray:
 
 
 def build_unitary(plan: SequencePlan, cfg: GameConfig) -> np.ndarray:
-    """Compile a plan to one register unitary (earliest game applied first)."""
+    """Compile a plan to one register unitary (earliest game applied first).
+
+    Starts from the identity on the seed qubits. Before each game the
+    register grows by its target qubit, U -> U (x) I_2, so a game is
+    applied to the qubits played so far and never to the identity on
+    later ones."""
     n = plan.total_qubits
     if n > MAX_QUBITS:
         raise SizeLimitError(f"register of {n} qubits exceeds limit")
     coins = {"A": make_coin_a(cfg.coin_a), "B": make_coin_b(cfg.coin_b)}
-    u = np.eye(2 ** n, dtype=np.complex128)
+    u = np.eye(2 ** plan.seed_count, dtype=np.complex128)
     for target, kind in enumerate(plan.games, plan.seed_count):
-        u = _on_axes(coins[kind], u, target if kind == "A" else target - 2)
+        dim = len(u)
+        grown = np.zeros((dim, 2, dim, 2), dtype=np.complex128)
+        grown[:, 0, :, 0] = grown[:, 1, :, 1] = u
+        u = _on_axes(coins[kind], grown.reshape(2 * dim, 2 * dim),
+                     target if kind == "A" else target - 2)
     return u
 
 

@@ -216,7 +216,7 @@ OUT_OF_RANGE = [
     ("knobs9-beta4 8.0 outside [0, 2pi]",
      dict(delta=7.0, betas=(0.0, 0.0, 0.0, 8.0)),
      "beta4 8.0 outside [0, 2pi]"),
-    ("knobs10-alpha1 9.5 outside [0, 2pi]",
+    ("knobs10-beta1 9.5 outside [0, 2pi]",
      dict(delta=9.0, betas=(9.5, 0.0, 0.0, 0.0)),
      "beta1 9.5 outside [0, 2pi]"),
 ]
@@ -282,6 +282,54 @@ def test_max_payoff_phases_is_the_maximum():
     random_, best = payoffs
     assert np.ptp(best, axis=0).max() <= 1e-12
     assert (random_ - best).max() <= 1e-12
+
+
+def test_no_coordinate_maximum_beats_max_payoff_phases():
+    """At seeded (delta, beta1..beta4) points, random ones and points of
+    the family ``max_payoff_phases(delta)`` itself, the exact maximum of
+    the AAB payoff over any one phase, the other four held, stays within
+    1e-12 of the family at the point's delta: undecohered, and under each
+    channel at p = 0.5. At a family point this holds the family to a
+    maximum along every phase.
+
+    Each beta enters with harmonic degree 1 and delta with degree 2 alone,
+    so 3 or 5 equally spaced samples give the payoff a + b cos + c sin of
+    that harmonic, whose maximum is a + sqrt(b^2 + c^2). One more sample,
+    off the grid, holds the degree at 1e-12, and delta's first harmonic is
+    held to 0. One batch plays every point."""
+    rng = np.random.default_rng(1313)
+    count = 64
+    base = rng.uniform(0.0, 2 * PI, (count, 5))        # delta, beta1..beta4
+    base[count // 2:, 1:] = [max_payoff_phases(d)
+                             for d in base[count // 2:, 0]]
+    degrees = (2, 1, 1, 1, 1)
+    blocks = []
+    for coord, degree in enumerate(degrees):
+        grid = 2 * PI * np.arange(2 * degree + 1) / (2 * degree + 1)
+        block = np.repeat(base[:, None, :], len(grid) + 1, axis=1)
+        block[:, :-1, coord] = grid
+        block[:, -1, coord] = rng.uniform(0.0, 2 * PI, count)
+        blocks.append(block)
+    family = np.array([(d, *max_payoff_phases(d)) for d in base[:, 0]])
+    phases = np.concatenate(blocks + [family[:, None, :]], axis=1)
+    flat = phases.reshape(-1, 5)
+    angles = coin_angles(1 / 168, delta=flat[:, 0], betas=tuple(flat[:, 1:].T))
+    channels = corner_stack(["none", "ad", "dp", "pd"], [0.0, 0.5, 0.5, 0.5])
+    corners = np.tile(channels, (len(angles), 1, 1, 1))
+    payoffs = play_arrays("AAB", angles, corners)[0].reshape(
+        count, phases.shape[1], 4)
+    best = payoffs[:, -1]
+    widths = [block.shape[1] for block in blocks]
+    played = np.split(payoffs[:, :-1], np.cumsum(widths)[:-1], axis=1)
+    for coord, (degree, block, sampled) in enumerate(
+            zip(degrees, blocks, played)):
+        harmonics = np.fft.fft(sampled[:, :-1], axis=1) / (2 * degree + 1)
+        mean, top = harmonics[:, 0].real, harmonics[:, degree]
+        assert np.abs(harmonics[:, 1:degree]).max(initial=0.0) <= 1e-12
+        off_grid = mean + 2 * (top * np.exp(1j * degree
+                                            * block[:, -1, coord, None])).real
+        assert np.abs(off_grid - sampled[:, -1]).max() <= 1e-12
+        assert (mean + 2 * np.abs(top) - best).max() <= 1e-12
 
 
 # --- sequence parsing -----------------------------------------------------

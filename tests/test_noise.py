@@ -65,6 +65,22 @@ def test_completeness(kind, p):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_completeness_of_a_stack_is_its_worst_set(kind):
+    """A stack (..., K, d, d) scores its worst set. Each set is scaled by
+    its own factor, so every set has a different defect."""
+    ps = np.linspace(0.0, 1.0, 12)
+    scale = np.sqrt(1.0 + 1e-3 * np.array([3, 7, 1, 11, 5, 0, 9, 2, 8, 4,
+                                           10, 6]))
+    stack = kraus_stack(kind, ps) * scale[:, None, None, None]
+    defects = [completeness_defect(list(ops)) for ops in stack]
+    assert len(set(defects)) == len(defects)
+    assert completeness_defect(stack) == max(defects) == defects[3]
+    assert completeness_defect(stack.reshape((3, 4) + stack.shape[1:])
+                               ) == max(defects)
+    assert completeness_defect(stack[3]) == defects[3]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_corners_are_the_channel_on_basis_operators(kind):
     spec = NoiseSpec(kind, 0.37)
     corners = corner_stack(kind, 0.37)[0]
@@ -185,7 +201,8 @@ def test_lift_enumerated_equals_kron_products(kind):
                 op = np.kron(op, e)
             want.append(op)
         got = lift_enumerated(spec, n)
-        assert isinstance(got, list) and len(got) == len(want)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == (len(want), 2 ** n, 2 ** n)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
