@@ -17,6 +17,7 @@ to a whole register; the tests and ``verify`` hold the axis-wise
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -218,7 +219,22 @@ def parse_sequence(text: str) -> SequencePlan:
     Raises ParseError (with offset) on malformed text, groups nested past
     the interpreter's recursion limit included, and SizeLimitError if the
     expanded register would exceed MAX_QUBITS.
+
+    Plans are frozen, so the plans of the last ``_PLAN_MEMO_SIZE``
+    distinct texts are kept and replayed; a text that raises is parsed
+    again every time. The memo sits behind this plain function, so a
+    tracer that wraps the module's functions still sees every call.
     """
+    return _parse_plan(text)
+
+
+#: Distinct sequence texts whose plans ``parse_sequence`` keeps.
+_PLAN_MEMO_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)
+def _parse_plan(text: str) -> SequencePlan:
+    """``parse_sequence``'s parse, memoized."""
     # Counts saturate at this bound and expansions keep their first `keep`
     # games: enough for every plan that fits, so nothing oversized is built.
     bound, keep = 10 ** 9, MAX_QUBITS + 1

@@ -88,8 +88,14 @@ def _score(per_qubit, plan: SequencePlan,
 #: Score of a qubit's basis states: -1 for |0> (loss), +1 for |1> (win).
 _SCORE = np.array([-1.0, 1.0])
 #: Carried corners |0><0|, |0><1|, |1><1| and their last-readout weights.
-_CARRIED = [0, 1, 3]
+_CARRIED = np.array([0, 1, 3])
 _WEIGHTS = np.array([1.0, 2.0, 1.0])
+#: Every carried corner's window before the first qubit: the GHZ state's
+#: 1/2, which the first product broadcasts over the points.
+_SEED = np.full((1, 3, 1), 0.5, dtype=np.complex128)
+for _constant in (_SCORE, _CARRIED, _WEIGHTS, _SEED):
+    _constant.flags.writeable = False
+del _constant
 
 
 def _entry_factors(coins: np.ndarray, corners: np.ndarray) -> np.ndarray:
@@ -110,13 +116,13 @@ def _entry_factors(coins: np.ndarray, corners: np.ndarray) -> np.ndarray:
             ).reshape(count, carried, size, 2)
 
 
-def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
-                         coin_b: np.ndarray,
+def _window_expectations(plan: SequencePlan, coins: np.ndarray,
                          corners: np.ndarray) -> np.ndarray:
     """Per-qubit +-1 expectations, shape (G, n), of ``plan`` played at G
-    points: A coins ``(A, 2, 2)``, B's sub-coins ``(A, 4, 2, 2)`` and noise
-    corners ``(G, 4, 2, 2)`` (``noise.corner_stack``), where A divides G
-    and coin set a serves the G/A consecutive points starting at a * G/A.
+    points: coin stacks ``(A, 5, 2, 2)``, the A coin and then B's four
+    sub-coins (``coins.coin_matrices``), and noise corners ``(G, 4, 2, 2)``
+    (``noise.corner_stack``), where A divides G and stack a serves the G/A
+    consecutive points starting at a * G/A.
 
     The noised state is 1/2 sum_{x,y} (x)_q E(|x><y|). Channels preserve
     Hermiticity, so the |1><0| corner stays the adjoint of |0><1|: only
@@ -127,46 +133,51 @@ def _window_expectations(plan: SequencePlan, coin_a: np.ndarray,
     those bits. So a window entry off the diagonal only ever feeds entries
     off the diagonal, and the payoff, which reads populations, needs only
     each corner's diagonal d: the kron and the game are one product
-    d'[(h, i)] = d[h] (c_h E c_h^H)[i, i] (E for a seed). A game touches
+    d'[(h, i)] = d[h] (c_h E c_h^H)[i, i] (E for a seed), its factors one
+    ``_entry_factors`` product over the whole coin stack. A game touches
     only its target and the two qubits before it, so the window's oldest of
     three is traced out, d[m] = d'[(0, m)] + d'[(1, m)]: per corner, the
     history-dependent Markov chain on the last two results (Parrondo,
     Harmer and Abbott, PRL 85, 5226 (2000)), linear in the register size,
-    on all G points at once. Of each qubit traced out before the register
-    is full only the |0><0| and |1><1| diagonals are kept, and they are
-    read out after the sweep in one contraction; the last three qubits are
+    on all G points at once. Each qubit traced out before the register is
+    full has its product d', all three corners, written in place into one
+    buffer and traced from there; the buffer's |0><0| and |1><1| rows are
+    read out after the sweep in one contraction. The last three qubits are
     read out as the sweep ends.
     """
     corners = corners[:, _CARRIED]
-    coins = {"A": coin_a[:, None], "B": coin_b}
-    factors = {kind: _entry_factors(coins[kind], corners)
-               for kind in set(plan.games)}
-    factors[None] = np.diagonal(corners, axis1=2, axis2=3)[:, :, None]
+    stack = _entry_factors(coins, corners)
+    factors = {"A": stack[:, :, :1], "B": stack[:, :, 1:],
+               None: np.diagonal(corners, axis1=2, axis2=3)[:, :, None]}
     n, count = plan.total_qubits, len(corners)
     steady = max(n - 3, 0)
     per_qubit = np.empty((count, n))
-    diagonal = np.full((count, 3, 1), 0.5, dtype=np.complex128)
-    # (qubit, point, corner, (i, a)): the |0><0| and |1><1| diagonals of
-    # the windows traced out before the register is full
-    diagonals = np.empty((steady, count, 2, 8), dtype=np.complex128)
+    diagonal = _SEED
+    # (qubit, point, corner, 8): the products d' of the windows traced out
+    # before the register is full, written as (h, i) and read as (oldest
+    # bit, the rest) by the trace and by the readout after the sweep
+    products = np.empty((steady, count, 3, 8), dtype=np.complex128)
+    outs = products.reshape(steady, count, 3, 4, 2)
+    traced = products.reshape(steady, count, 3, 2, 4)
     for q, kind in enumerate((None,) * plan.seed_count + tuple(plan.games)):
-        d = diagonal.shape[-1]
-        diagonal = (diagonal[:, :, :, None] * factors[kind]
-                    ).reshape(count, 3, 2 * d)
         if 2 <= q < n - 1:
-            diagonals[q - 2] = diagonal[:, ::2]
-            halves = diagonal.reshape(count, 3, 2, 4)
-            diagonal = halves[:, :, 0] + halves[:, :, 1]
+            np.multiply(diagonal[:, :, :, None], factors[kind],
+                        out=outs[q - 2])
+            diagonal = traced[q - 2, :, :, 0] + traced[q - 2, :, :, 1]
+        else:
+            d = diagonal.shape[-1]
+            diagonal = (diagonal[:, :, :, None] * factors[kind]
+                        ).reshape(count, 3, 2 * d)
     for column in range(steady, n):
         halves = diagonal.reshape(count, 3, 2, diagonal.shape[-1] // 2)
         per_qubit[:, column] = np.einsum("gtia,i,t->g", halves, _SCORE,
                                          _WEIGHTS).real
-        diagonal = halves[:, :, 0] + halves[:, :, 1]
+        if column < n - 1:
+            diagonal = halves[:, :, 0] + halves[:, :, 1]
     if steady:
         # Tr E(|0><1|) = 0: |0><1| counts only once the register is full.
         per_qubit[:, :steady] = np.einsum(
-            "ngtia,i,t->gn", diagonals.reshape(steady, count, 2, 2, 4),
-            _SCORE, _WEIGHTS[::2]).real
+            "ngtia,i,t->gn", traced[:, :, ::2], _SCORE, _WEIGHTS[::2]).real
     return per_qubit
 
 
@@ -191,8 +202,7 @@ def play_arrays(sequence: str, angles: np.ndarray, corners: np.ndarray,
                          " dividing G")
     plan = parse_sequence(sequence)
     coins = coin_matrices(angles[..., 0], angles[..., 1], angles[..., 2])
-    expectations = _window_expectations(plan, coins[:, 0], coins[:, 1:],
-                                        corners)
+    expectations = _window_expectations(plan, coins, corners)
     return _score(expectations, plan, convention), expectations
 
 

@@ -31,3 +31,10 @@ def test_tracer_installs_and_restores_every_hook():
     for module, attr in targets:
         assert getattr(module, attr) is originals[
             (module.__name__, attr)], f"{module.__name__}.{attr}"
+
+
+def test_parse_sequence_stays_traced():
+    """``coins.parse_sequence`` keeps its plan memo behind a plain function,
+    which the tracer wraps where the engine calls it."""
+    from parrondoq import engine
+    assert (engine, "parse_sequence") in set(load_tracing()._targets())

@@ -7,9 +7,10 @@ import pytest
 
 from parrondoq import coins
 from parrondoq.coins import (CoinParams, GameConfig, ParseError,
-                             SizeLimitError, block_coins, calibrate_classical,
-                             coin_angles, coin_matrices, embed, make_coin_a,
-                             make_coin_b, max_payoff_phases, parse_sequence)
+                             SequencePlan, SizeLimitError, block_coins,
+                             calibrate_classical, coin_angles, coin_matrices,
+                             embed, make_coin_a, make_coin_b,
+                             max_payoff_phases, parse_sequence)
 from parrondoq.engine import play_arrays
 from parrondoq.noise import corner_stack
 from parrondoq.reference import build_unitary
@@ -383,6 +384,29 @@ def test_parse_register_size_limit():
         parse_sequence("A^12")
     with pytest.raises(SizeLimitError):
         parse_sequence("B^10")       # 10 games + 2 seeds
+
+
+def test_parse_memo_keeps_no_errors():
+    """Plans are memoized, errors never: every call raises afresh."""
+    for _ in range(3):
+        with pytest.raises(ParseError) as err:
+            parse_sequence("AA(B")
+        assert err.value.offset == 2
+        with pytest.raises(SizeLimitError):
+            parse_sequence("B^12")
+
+
+def test_parse_memo_stays_bounded():
+    # twice as many distinct texts as the memo keeps, all "A^1"
+    texts = ["A^" + "0" * zeros + "1"
+             for zeros in range(2 * coins._PLAN_MEMO_SIZE)]
+    for text in texts:
+        assert parse_sequence(text) == SequencePlan("A", 0)
+    info = coins._parse_plan.cache_info()
+    assert info.maxsize == coins._PLAN_MEMO_SIZE
+    assert info.currsize <= coins._PLAN_MEMO_SIZE
+    # a replayed text is the kept plan itself
+    assert parse_sequence(texts[-1]) is parse_sequence(texts[-1])
 
 
 def test_parse_counts_oversized_sequences_without_expanding():

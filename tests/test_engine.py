@@ -361,6 +361,57 @@ def test_entry_factors_do_not_depend_on_the_batch(size):
             shared[g:g + 1], engine._entry_factors(one, corners[g:g + 1]))
 
 
+@pytest.mark.parametrize("count", [1, 3, 64])
+@pytest.mark.parametrize("shared", [True, False])
+def test_one_factor_product_slices_are_the_per_kind_products(count, shared):
+    """The sweep builds both games' factors in one product over the whole
+    coin stack: its A and B slices must equal the products over the A coin
+    and over B's sub-coins alone, bit for bit, at mixed channel kinds."""
+    rng = np.random.default_rng([2030, count, shared])
+    corners = corner_stack(list(rng.choice(KINDS, count)),
+                           rng.uniform(0, 1, count))[:, engine._CARRIED]
+    lead = 1 if shared else count
+    coins = coin_matrices(*rng.uniform(-PI, 2 * PI, (3, lead, 5)))
+    factors = engine._entry_factors(coins, corners)
+    assert np.array_equal(factors[:, :, :1],
+                          engine._entry_factors(coins[:, :1], corners))
+    assert np.array_equal(factors[:, :, 1:],
+                          engine._entry_factors(coins[:, 1:], corners))
+
+
+@pytest.mark.parametrize("sequence", ["A", "AA", "AAB", "B^9"])
+def test_a_sweep_makes_one_factor_product(sequence, monkeypatch):
+    calls = []
+    product = engine._entry_factors
+    monkeypatch.setattr(engine, "_entry_factors",
+                        lambda *args: calls.append(1) or product(*args))
+    play_arrays(sequence, np.zeros((1, 5, 3)),
+                corner_stack(["ad", "dp", "pd"], 0.3))
+    assert len(calls) == 1
+
+
+def test_plays_share_no_memory():
+    """The sweep's seed is a read-only module constant that the first
+    product broadcasts; no result may alias it, another module constant or
+    another play's result, and a repeated play returns equal arrays."""
+    constants = [value for value in vars(engine).values()
+                 if isinstance(value, np.ndarray)]
+    assert engine._SEED.shape == (1, 3, 1)
+    assert all(not constant.flags.writeable for constant in constants)
+    rng = np.random.default_rng(2031)
+    angles = rng.uniform(-PI, 2 * PI, (1, 5, 3))
+    corners = corner_stack(["ad", "dp", "pd", "none"], 0.4)
+    for sequence in ("A", "AAB", "B^9"):
+        first = play_arrays(sequence, angles, corners)
+        second = play_arrays(sequence, angles, corners)
+        for a, b in zip(first, second, strict=True):
+            assert np.array_equal(a, b)
+        results = [*first, *second]
+        for i, result in enumerate(results):
+            for other in results[i + 1:] + constants:
+                assert not np.shares_memory(result, other), sequence
+
+
 def random_point(rng):
     """A random (config, noise) point: fully random coins, or calibrated
     coins under either probability order, on any channel at random p."""
@@ -593,8 +644,7 @@ def test_window_sweep_equals_full_window_sweep_bit_for_bit():
         corners = corner_stack(list(rng.choice(KINDS, count)),
                                rng.uniform(0, 1, count))
         coins = coin_matrices(*rng.uniform(-PI, 2 * PI, (3, lead, 5)))
-        got = engine._window_expectations(plan, coins[:, 0], coins[:, 1:],
-                                          corners)
+        got = engine._window_expectations(plan, coins, corners)
         want = full_window_expectations(plan, coins[:, 0], coins[:, 1:],
                                         corners)
         assert np.array_equal(got, want), (plan, count, lead)
@@ -655,8 +705,7 @@ def test_repeated_a_games_feel_only_amplitude_damping(delta):
     angles = coin_angles(eps, delta=delta, assignment="canonical")
     coins = coin_matrices(*np.moveaxis(angles, -1, 0))
     per_qubit = engine._window_expectations(
-        SequencePlan("A" * 40, 0), coins[:, 0], coins[:, 1:],
-        corner_stack(["ad", "dp", "pd"], p))
+        SequencePlan("A" * 40, 0), coins, corner_stack(["ad", "dp", "pd"], p))
     assert per_qubit.shape == (3, 40)
     assert np.abs(per_qubit - np.array([[-2 * eps * p], [0.0], [0.0]])
                   ).max() <= 1e-12
