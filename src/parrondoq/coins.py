@@ -12,8 +12,8 @@ so a sequence that opens with B gets the missing history as seed qubits.
 ``calibrate_classical``, ``make_coin_a`` and ``make_coin_b`` are their
 one-point cases. The one register cap, ``MAX_QUBITS``, and its
 ``SizeLimitError`` live here. ``embed`` is a coin's literal Kronecker lift
-to a whole register; the tests and ``verify`` hold the axis-wise
-``reference.build_unitary`` to products of such lifts.
+to a whole register; the tests and ``verify`` hold the tensor-product
+compiler ``reference.build_unitary`` to products of such lifts.
 """
 from __future__ import annotations
 

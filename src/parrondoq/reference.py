@@ -7,10 +7,11 @@ reports comes from the window sweep in ``engine``; this route computes the
 same numbers the literal way, and the tests and ``verify`` hold the sweep to
 it, for registers up to ``coins.MAX_QUBITS``.
 
-Gates and the channel act on their own qubit axes instead of as lifted
-2^n x 2^n matrices. A game touches no qubit after its target, so the
-sequence unitary grows one qubit per game: a game on k qubits ending at
-qubit t costs O(4^(t+1) 2^k), the channel O(4^n) per qubit.
+The channel acts on each qubit's own axes instead of as a lifted
+2^n x 2^n matrix, O(4^n) per qubit. A game touches no qubit after its
+target, so the sequence unitary grows by one tensor product per game:
+U (x) a for game A, and for game B each row of U times the sub-coin that
+row's two history bits pick. A game ending at qubit t costs O(4^(t+1)).
 ``coins.embed`` (literal Kronecker lifts) and ``lift_enumerated`` (explicit
 n-qubit Kraus products, one stacked array) are the independent routes these
 are checked against.
@@ -82,33 +83,31 @@ def lift_enumerated(spec: NoiseSpec, n_qubits: int) -> np.ndarray:
     return ops
 
 
-def _on_axes(op: np.ndarray, tensor: np.ndarray, first: int) -> np.ndarray:
-    """Apply the 2^k operator ``op`` to the k contiguous qubit axes of
-    ``tensor`` that start at axis ``first`` (axis 0 most significant).
-    ``tensor`` is a (2,)*m tensor, or any reshape of one that keeps its
-    element order, such as a 2^n x 2^n matrix whose rows are axes 0..n-1."""
-    k = op.shape[0].bit_length() - 1
-    return (op @ tensor.reshape(2 ** first, 2 ** k, -1)).reshape(tensor.shape)
-
-
 def build_unitary(plan: SequencePlan, cfg: GameConfig) -> np.ndarray:
     """Compile a plan to one register unitary (earliest game applied first).
 
-    Starts from the identity on the seed qubits. Before each game the
-    register grows by its target qubit, U -> U (x) I_2, so a game is
-    applied to the qubits played so far and never to the identity on
-    later ones."""
+    Starts from the identity on the seed qubits. A game touches no qubit
+    after its target, so each game grows U by one tensor product with its
+    target qubit: game A gives U (x) a, and game B, whose sub-coin s_h is
+    picked by history bits h = the last two qubits played, gives
+    U'[(r,i),(c,j)] = U[r,c] s_{r mod 4}[i,j]. A game ending at qubit t
+    costs O(4^(t+1)), and only the new U and the previous one are held."""
     n = plan.total_qubits
     if n > MAX_QUBITS:
         raise SizeLimitError(f"register of {n} qubits exceeds limit")
-    coins = {"A": make_coin_a(cfg.coin_a), "B": make_coin_b(cfg.coin_b)}
+    a = make_coin_a(cfg.coin_a)
+    b = make_coin_b(cfg.coin_b)
+    subcoins = np.stack([b[2 * h:2 * h + 2, 2 * h:2 * h + 2]
+                         for h in range(4)])
     u = np.eye(2 ** plan.seed_count, dtype=np.complex128)
-    for target, kind in enumerate(plan.games, plan.seed_count):
+    for kind in plan.games:
         dim = len(u)
-        grown = np.zeros((dim, 2, dim, 2), dtype=np.complex128)
-        grown[:, 0, :, 0] = grown[:, 1, :, 1] = u
-        u = _on_axes(coins[kind], grown.reshape(2 * dim, 2 * dim),
-                     target if kind == "A" else target - 2)
+        if kind == "A":
+            u = u[:, None, :, None] * a[None, :, None, :]
+        else:
+            u = (u.reshape(dim // 4, 4, 1, dim, 1)
+                 * subcoins[None, :, :, None, :])
+        u = u.reshape(2 * dim, 2 * dim)
     return u
 
 

@@ -538,6 +538,23 @@ def test_build_unitary_order_matters():
     assert np.abs(u_ab - embed(a, 1, 3) @ b).max() > 1e-3
 
 
+@pytest.mark.parametrize("sequence", ["B^9", "A^11"])
+def test_build_unitary_holds_no_scratch_register(sequence):
+    """Each game grows U by one tensor product: at 11 qubits the peak is
+    the returned matrix plus the previous U (1.25x its size), with no
+    zero-filled scratch register of the grown size beside them."""
+    plan = parse_sequence(sequence)
+    cfg = _cfg()
+    tracemalloc.start()
+    try:
+        u = build_unitary(plan, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert u.shape == (2 ** 11, 2 ** 11)
+    assert peak <= 1.5 * u.nbytes
+
+
 def random_coin(rng):
     return CoinParams(float(rng.uniform(-PI, PI)),
                       float(rng.uniform(0.0, 2 * PI)),
@@ -546,7 +563,7 @@ def random_coin(rng):
 
 def test_build_unitary_matches_embed_products_on_random_plans():
     """Seeded random A/B sequences of up to 9 qubits, seeds included:
-    the axis-wise compiler against the product of literal lifts."""
+    the tensor-product compiler against the product of literal lifts."""
     rng = np.random.default_rng(20261018)
     seeds, sizes = set(), set()
     for _ in range(30):

@@ -64,6 +64,25 @@ def test_format_report(registry):
         assert f"tol={r.tolerance:<8.1e}".rstrip() in line
 
 
+@pytest.mark.parametrize("entry", [(3, 500), (509, 2)])
+def test_compiler_products_sees_every_row_block(monkeypatch, entry):
+    """The (AAB)^3 unitary is compared one row block of the AAB block at a
+    time; a 1e-9 error in the first or the last of those blocks fails, and
+    the residual is that error, up to the rounding of adding it."""
+    build = verify.build_unitary
+
+    def perturbed(plan, cfg):
+        u = build(plan, cfg)
+        if plan.total_qubits == 9:
+            u[entry] += 1e-9
+        return u
+
+    monkeypatch.setattr(verify, "build_unitary", perturbed)
+    result = verify.check_compiler_products()
+    assert result.status == "FAIL"
+    assert result.residual == pytest.approx(1e-9, rel=1e-6)
+
+
 def test_run_all_batches_every_grid(monkeypatch):
     """Each grid check plays its points as one ``play_many`` per sequence,
     and the convention checks share one search, which plays one batch per
