@@ -95,19 +95,16 @@ def build_unitary(plan: SequencePlan, cfg: GameConfig) -> np.ndarray:
     n = plan.total_qubits
     if n > MAX_QUBITS:
         raise SizeLimitError(f"register of {n} qubits exceeds limit")
-    a = make_coin_a(cfg.coin_a)
     b = make_coin_b(cfg.coin_b)
-    subcoins = np.stack([b[2 * h:2 * h + 2, 2 * h:2 * h + 2]
-                         for h in range(4)])
+    # game A has one sub-coin whatever the history
+    subcoins = {"A": make_coin_a(cfg.coin_a)[None],
+                "B": np.stack([b[2 * h:2 * h + 2, 2 * h:2 * h + 2]
+                               for h in range(4)])}
     u = np.eye(2 ** plan.seed_count, dtype=np.complex128)
     for kind in plan.games:
-        dim = len(u)
-        if kind == "A":
-            u = u[:, None, :, None] * a[None, :, None, :]
-        else:
-            u = (u.reshape(dim // 4, 4, 1, dim, 1)
-                 * subcoins[None, :, :, None, :])
-        u = u.reshape(2 * dim, 2 * dim)
+        dim, coins = len(u), subcoins[kind]
+        u = (u.reshape(dim // len(coins), len(coins), 1, dim, 1)
+             * coins[None, :, :, None, :]).reshape(2 * dim, 2 * dim)
     return u
 
 
