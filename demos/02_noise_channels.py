@@ -14,15 +14,14 @@ sum_k E_k^dagger E_k = I guarantees the output is again a density matrix.
 """
 import numpy as np
 
-from parrondoq.noise import NoiseSpec, completeness_defect, kraus_single
+from parrondoq.noise import NoiseSpec, completeness_defect, kraus_stack
 from parrondoq.reference import apply_channel, make_initial_state
 
 np.set_printoptions(precision=3, suppress=True, linewidth=100)
 
 print("== Kraus operators at p = 0.5 ==")
 for kind in ("ad", "dp", "pd"):
-    spec = NoiseSpec(kind, 0.5)
-    ops = kraus_single(spec)
+    ops = kraus_stack(kind, 0.5)[0]
     print(f"{kind}: {len(ops)} operators, completeness defect "
           f"{completeness_defect(ops):.2e}")
     for op in ops:

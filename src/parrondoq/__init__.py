@@ -16,7 +16,7 @@ from .engine import (CONVENTION_NAMES, DEFAULT_CONVENTION, PayoffConvention,
 from .figures import (FIGURES, SweepSetup, figure_csv, figure_rows,
                       rows_to_csv, sweep_rows)
 from .noise import (KINDS, NoiseSpec, completeness_defect, corner_stack,
-                    kraus_single, kraus_stack)
+                    kraus_stack)
 from .reference import (apply_channel, build_unitary, evolve, lift_enumerated,
                         make_initial_state, payoff_report)
 from .verify import CheckResult, format_report, run_all
@@ -35,7 +35,7 @@ __all__ = [
     "sweep_rows",
     "SizeLimitError",
     "KINDS", "NoiseSpec", "apply_channel", "completeness_defect",
-    "corner_stack", "kraus_single", "kraus_stack", "lift_enumerated",
+    "corner_stack", "kraus_stack", "lift_enumerated",
     "CheckResult", "format_report", "run_all",
     "__version__",
 ]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import functools
 import math
 import re
@@ -38,7 +39,7 @@ import sys
 from .coins import ParseError, SizeLimitError
 from .engine import CONVENTION_NAMES, play_arrays
 from .figures import (SWEEP_VARS, SweepSetup, figure_csv, payoff_text,
-                      rows_to_csv, sweep_rows)
+                      sweep_csv)
 from .noise import KINDS
 from .verify import format_report, run_all
 
@@ -263,12 +264,17 @@ def cmd_payoff(ns) -> int:
     return 0
 
 
-def _write_csv(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_csv(pieces, out: str | None) -> None:
+    """Write CSV text pieces as they come. ``out`` is opened once the first
+    piece exists, so a command that fails before any output makes no
+    file."""
+    pieces = iter(pieces)
+    first = next(pieces)
+    with (open(out, "w", encoding="utf-8", newline="") if out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(first)
+        for piece in pieces:
+            fh.write(piece)
 
 
 def cmd_sweep(ns) -> int:
@@ -276,13 +282,12 @@ def cmd_sweep(ns) -> int:
         raise UsageError("sweep requires --seq")
     if not ns.var or not ns.grid:
         raise UsageError("sweep requires --var and --grid")
-    _write_csv(rows_to_csv(sweep_rows(_sweep_setup(ns, ns.var, ns.grid))),
-               ns.out)
+    _write_csv(sweep_csv(_sweep_setup(ns, ns.var, ns.grid)), ns.out)
     return 0
 
 
 def cmd_figure(ns) -> int:
-    _write_csv(figure_csv(ns.number), ns.out)
+    _write_csv([figure_csv(ns.number)], ns.out)
     return 0
 
 

@@ -10,7 +10,9 @@ so a sequence that opens with B gets the missing history as seed qubits.
 ``coin_angles`` is the calibration rule over arrays of knobs, and
 ``coin_matrices`` the coin formula over arrays of angles;
 ``calibrate_classical``, ``make_coin_a`` and ``make_coin_b`` are their
-one-point cases. The one register cap, ``MAX_QUBITS``, and its
+one-point cases. ``parse_sequence`` keeps the plans of its last 128 texts
+and ``calibrate_classical`` the configs of its last 128 knob sets, each
+behind the plain function. The one register cap, ``MAX_QUBITS``, and its
 ``SizeLimitError`` live here. ``embed`` is a coin's literal Kronecker lift
 to a whole register; the tests and ``verify`` hold the tensor-product
 compiler ``reference.build_unitary`` to products of such lifts.
@@ -198,10 +200,43 @@ def calibrate_classical(
     betas: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
     assignment: str = "printed",
 ) -> GameConfig:
-    """The one-point case of ``coin_angles``, as validated coins."""
+    """The one-point case of ``coin_angles``, as validated coins.
+
+    Configs are frozen, so those of the last ``_CONFIG_MEMO_SIZE`` distinct
+    knob sets are kept and replayed, as ``parse_sequence`` keeps plans. Only
+    plain ``float`` and ``int`` knobs, a tuple of betas and a ``str``
+    assignment are memoized; any other call, and a call that raises, runs
+    afresh every time.
+    """
+    knobs = (epsilon, delta, *betas) if type(betas) is tuple else ()
+    kinds = tuple(map(type, knobs))
+    if knobs and type(assignment) is str and _PLAIN.issuperset(kinds):
+        # 1 == 1.0 and 0.0 == -0.0, yet a config keeps epsilon's type and
+        # every phase's sign of zero, so the key holds both
+        signs = tuple(math.copysign(1.0, k) for k in knobs if k == 0)
+        return _calibrated(kinds, signs, epsilon, delta, betas, assignment)
+    return _calibrate(epsilon, delta, betas, assignment)
+
+
+def _calibrate(epsilon, delta, betas, assignment) -> GameConfig:
+    """``calibrate_classical``'s calibration."""
     angles = coin_angles(epsilon, delta, betas, assignment)
     coin_a, *subs = (CoinParams(*row) for row in angles[0].tolist())
     return GameConfig(epsilon, coin_a, tuple(subs))
+
+
+#: Knob types ``calibrate_classical`` memoizes, and the distinct knob sets
+#: whose configs it keeps.
+_PLAIN = frozenset((float, int))
+_CONFIG_MEMO_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_CONFIG_MEMO_SIZE)
+def _calibrated(kinds, signs, epsilon, delta, betas, assignment
+                ) -> GameConfig:
+    """``_calibrate``, memoized; ``kinds`` and ``signs`` (the knobs' types
+    and zeros' signs) tell equal knobs apart."""
+    return _calibrate(epsilon, delta, betas, assignment)
 
 
 def max_payoff_phases(delta: float) -> tuple[float, float, float, float]:

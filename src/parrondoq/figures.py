@@ -12,10 +12,12 @@ configuration and noise spec. A sweep with any out-of-domain point is
 refused when it is set up. ``sweep_rows`` walks the grid in chunks of at
 most ``SWEEP_BLOCK`` values and plays each chunk, values times channels
 points, as one batched window sweep (``engine.play_arrays``), as the CLI's
-``payoff`` plays its one point. ``payoff_text`` prints a payoff, as ``0``
-within 1e-14 of zero, for both. Presets 1-9 pin the parameter choices for
-the standard plots; preset 7 evaluates the repeated-sequence closed forms
-instead of simulating.
+``payoff`` plays its one point. ``sweep_csv`` renders the same chunks as
+CSV text one at a time, and the CLI's ``sweep`` writes each as it comes,
+so its memory stays flat in the grid size. ``payoff_text`` prints a
+payoff, as ``0`` within 1e-14 of zero, for both. Presets 1-9 pin the
+parameter choices for the standard plots; preset 7 evaluates the
+repeated-sequence closed forms instead of simulating.
 """
 from __future__ import annotations
 
@@ -159,19 +161,24 @@ class SweepSetup:
 SWEEP_BLOCK = 64
 
 
+def _sweep_chunks(setup: SweepSetup):
+    """The rows of each chunk of at most ``SWEEP_BLOCK`` grid values, in
+    order, each chunk played as one batched call: the one path both
+    ``sweep_rows`` and ``sweep_csv`` read."""
+    grid, channels = setup.grid(), setup.channels
+    for at in range(0, setup.count, SWEEP_BLOCK):
+        values = grid[at:at + SWEEP_BLOCK]
+        angles, corners = setup.block(values, channels)
+        payoffs = play_arrays(setup.sequence, angles, corners,
+                              setup.convention)[0]
+        yield list(zip([setup.var] * len(payoffs),
+                       np.repeat(values, len(channels)).tolist(),
+                       list(channels) * len(values), payoffs.tolist()))
+
+
 def sweep_rows(setup: SweepSetup) -> list:
     """Evaluate a sweep; returns (var, value, channel, payoff) tuples."""
-    grid, channels = setup.grid(), setup.channels
-    payoffs = np.empty((setup.count, len(channels)))
-    for at in range(0, setup.count, SWEEP_BLOCK):
-        chunk = slice(at, at + SWEEP_BLOCK)
-        angles, corners = setup.block(grid[chunk], channels)
-        played = play_arrays(setup.sequence, angles, corners,
-                             setup.convention)
-        payoffs[chunk] = played[0].reshape(-1, len(channels))
-    values = np.repeat(grid, len(channels)).tolist()
-    return list(zip([setup.var] * len(values), values,
-                    list(channels) * setup.count, payoffs.ravel().tolist()))
+    return [row for rows in _sweep_chunks(setup) for row in rows]
 
 
 #: Payoffs smaller than this print as 0: they are rounding noise about an
@@ -188,12 +195,24 @@ def payoff_text(payoff: float) -> str:
     return _csv_num(0.0 if abs(payoff) < _PAYOFF_ZERO else payoff)
 
 
+def _csv_lines(rows) -> str:
+    return "".join(f"{var},{_csv_num(value)},{channel},"
+                   f"{payoff_text(payoff)}\n"
+                   for var, value, channel, payoff in rows)
+
+
 def rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for var, value, channel, payoff in rows:
-        lines.append(f"{var},{_csv_num(value)},{channel},"
-                     f"{payoff_text(payoff)}")
-    return "\n".join(lines) + "\n"
+    return f"{CSV_HEADER}\n{_csv_lines(rows)}"
+
+
+def sweep_csv(setup: SweepSetup):
+    """``rows_to_csv(sweep_rows(setup))`` in pieces, one per chunk as it is
+    played, the header in the first, so no more than one chunk's rows and
+    text are held at once."""
+    chunks = _sweep_chunks(setup)
+    yield rows_to_csv(next(chunks))
+    for rows in chunks:
+        yield _csv_lines(rows)
 
 
 GRID_POINTS = 51

@@ -12,8 +12,8 @@ The channel acts once, on the initial state, independently on every qubit.
 |x><y| at many points at once: the window sweep in ``engine`` and the dense
 ``reference.apply_channel`` both apply the channel through it. Each formula
 takes an array of strengths (``kraus_stack`` for one kind, ``corner_stack``
-for one kind per point); ``kraus_single`` is the one-point case of the
-first, and a one-point caller reads ``corner_stack(kind, p)[0]``.
+for one kind per point); a one-point caller reads ``kraus_stack(kind, p)[0]``
+or ``corner_stack(kind, p)[0]``.
 """
 from __future__ import annotations
 
@@ -69,12 +69,6 @@ def kraus_stack(kind: str, p) -> np.ndarray:
     else:                                   # phase damping
         ops[..., 1, 1, 1] = np.sqrt(p)
     return ops
-
-
-def kraus_single(spec: NoiseSpec) -> list[np.ndarray]:
-    """The single-qubit Kraus set for ``spec``: the one-point case of
-    ``kraus_stack``."""
-    return list(kraus_stack(spec.kind, spec.p)[0])
 
 
 def completeness_defect(ops) -> float:

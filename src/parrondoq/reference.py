@@ -7,8 +7,12 @@ reports comes from the window sweep in ``engine``; this route computes the
 same numbers the literal way, and the tests and ``verify`` hold the sweep to
 it, for registers up to ``coins.MAX_QUBITS``.
 
-The channel acts on each qubit's own axes instead of as a lifted
-2^n x 2^n matrix, O(4^n) per qubit. A game touches no qubit after its
+The channel is one 4 x 4 map per qubit, M[(i,j),(x,y)] = E(|x><y|)[i,j],
+rather than a lifted 2^n x 2^n matrix. The register is transposed once
+so that each qubit's row and column axes sit side by side; then each of
+n matmuls maps the leading pair and rotates it to the back, and one
+transpose turns the result back into a matrix: O(4^n) per qubit, with
+no copy of the register per qubit. A game touches no qubit after its
 target, so the sequence unitary grows by one tensor product per game:
 U (x) a for game A, and for game B each row of U times the sub-coin that
 row's two history bits pick. A game ending at qubit t costs O(4^(t+1)).
@@ -46,18 +50,22 @@ def make_initial_state(n_qubits: int) -> np.ndarray:
 def apply_channel(rho: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     """Apply the channel to every qubit of a register density matrix: on
     qubit q, each block |x><y| of that qubit becomes E(|x><y|). At p = 0
-    that is exactly |x><y|: a copy of ``rho``, bit for bit."""
+    that is exactly |x><y|: a copy of ``rho``, bit for bit. A 1 x 1
+    matrix, a register of no qubits, comes back as it is."""
     dim = rho.shape[0]
     n = int(round(np.log2(dim)))
     if 2 ** n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
-    corners = corner_stack(spec.kind, spec.p)[0].reshape(2, 2, 2, 2)
-    for q in range(n):
-        hi, lo = 2 ** q, 2 ** (n - 1 - q)
-        # "xyij,axbcyd->aibcjd" as one matmul, without einsum's per-call cost
-        rho = np.tensordot(corners, rho.reshape(hi, 2, lo, hi, 2, lo),
-                           axes=([0, 1], [1, 4])).transpose(2, 0, 3, 4, 1, 5)
-    return rho.reshape(dim, dim)
+    # M transposed: row xy holds E(|x><y|), so v[., xy] @ it gives v'[., ij]
+    channel_map = corner_stack(spec.kind, spec.p)[0].reshape(4, 4)
+    # axes r0 c0 r1 c1 ...: each qubit's row and column axis side by side
+    v = rho.reshape((2,) * (2 * n)).transpose(
+        [axis for q in range(n) for axis in (q, n + q)])
+    for _ in range(n):
+        # the leading pair is mapped and rotated to the back
+        v = v.reshape(4, -1).T @ channel_map
+    return v.reshape((2,) * (2 * n)).transpose(
+        list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(dim, dim)
 
 
 def lift_enumerated(spec: NoiseSpec, n_qubits: int) -> np.ndarray:

@@ -38,3 +38,13 @@ def test_parse_sequence_stays_traced():
     which the tracer wraps where the engine calls it."""
     from parrondoq import engine
     assert (engine, "parse_sequence") in set(load_tracing()._targets())
+
+
+def test_calibrate_classical_stays_traced():
+    """``coins.calibrate_classical`` keeps its config memo behind a plain
+    function, which the tracer wraps where ``verify`` and ``figures`` call
+    it."""
+    from parrondoq import figures, verify
+    targets = set(load_tracing()._targets())
+    assert (verify, "calibrate_classical") in targets
+    assert (figures, "calibrate_classical") in targets

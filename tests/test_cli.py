@@ -1,15 +1,16 @@
 import importlib
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from parrondoq import cli
+from parrondoq import cli, figures
 from parrondoq.coins import CoinParams, GameConfig
 from parrondoq.engine import CONVENTION_NAMES, play
-from parrondoq.figures import SweepSetup, payoff_text
+from parrondoq.figures import SweepSetup, payoff_text, rows_to_csv, sweep_rows
 from parrondoq.noise import KINDS, NoiseSpec
 
 PI = math.pi
@@ -229,6 +230,54 @@ def test_sweep_csv_stdout(capsys):
     assert lines[1].startswith("p,0,ad,")
     assert lines[2].startswith("p,0,dp,")
     assert lines[3].startswith("p,0.5,ad,")
+
+
+def test_streamed_sweep_equals_whole_csv(tmp_path, capsys, monkeypatch):
+    """The CLI writes a sweep chunk by chunk; with chunks of 7 values, 23
+    values on two channels leave a short last chunk, and the bytes are
+    those of the whole sweep rendered at once."""
+    flags = ["sweep", "--seq", "AAB", "--var", "delta", "--grid", "0:pi:23",
+             "--channel", "ad", "--channel", "pd", "--p", "0.3",
+             "--eps", "1/168", "--max-phases"]
+    setup = SweepSetup("AAB", "delta", 0.0, PI, 23, ("ad", "pd"), p=0.3,
+                       eps=1 / 168, max_phases=True)
+    want = rows_to_csv(sweep_rows(setup))
+    monkeypatch.setattr(figures, "SWEEP_BLOCK", 7)
+    assert len(list(figures.sweep_csv(setup))) == 4
+    assert cli.main(flags) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "sweep.csv"
+    assert cli.main(flags + ["--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("seq,code", [("AXB", 2), ("B^12", 3)])
+def test_failed_sweep_writes_no_file(tmp_path, capsys, seq, code):
+    """The sequence is parsed when the first chunk plays; the file is
+    opened only after that."""
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--seq", seq, "--var", "p", "--grid", "0:1:3",
+                     "--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_streamed_sweep_holds_one_chunk(tmp_path):
+    """10^5 points hold one chunk's rows and text at a time: about 1 MiB
+    traced, where the whole rows and text took 28 MiB."""
+    out = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        assert cli.main(["sweep", "--seq", "A", "--var", "p",
+                         "--grid", "0:1:25000", "--channel", "ad",
+                         "--channel", "dp", "--channel", "pd",
+                         "--channel", "none", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    with open(out, "rb") as fh:
+        assert sum(1 for _ in fh) == 1 + 10 ** 5
 
 
 def sweep_payoffs(capsys):

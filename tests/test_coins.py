@@ -235,6 +235,79 @@ def test_coin_angles_and_calibration_refuse_alike(knobs, message):
     assert str(scalar.value) == str(batch.value) == message
 
 
+@pytest.mark.parametrize("knobs,message", [row[1:] for row in OUT_OF_RANGE],
+                         ids=[row[0] for row in OUT_OF_RANGE])
+def test_calibration_memo_keeps_no_errors(knobs, message, monkeypatch):
+    """Configs are memoized, errors never: every call calibrates and
+    raises afresh."""
+    knobs = dict(knobs)
+    epsilon = knobs.pop("epsilon", 0.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return coin_angles(*args)
+    monkeypatch.setattr(coins, "coin_angles", counted)
+    for attempt in range(1, 4):
+        with pytest.raises(ValueError) as err:
+            calibrate_classical(epsilon, **knobs)
+        assert str(err.value) == message
+        assert len(calls) == attempt
+
+
+def test_calibration_memo_stays_bounded():
+    # twice as many distinct knob sets as the memo keeps
+    epsilons = np.linspace(0.0, 0.1, 2 * coins._CONFIG_MEMO_SIZE).tolist()
+    for eps in epsilons:
+        assert calibrate_classical(eps) == coins._calibrate(
+            eps, 0.0, (0.0,) * 4, "printed")
+    info = coins._calibrated.cache_info()
+    assert info.maxsize == coins._CONFIG_MEMO_SIZE
+    assert info.currsize <= coins._CONFIG_MEMO_SIZE
+    # a replayed knob set is the kept config itself
+    assert calibrate_classical(epsilons[-1]) is calibrate_classical(
+        epsilons[-1])
+
+
+def test_calibration_memo_tells_equal_knobs_apart():
+    """1 == 1.0 and 0.0 == -0.0, but a config keeps epsilon's type and
+    each phase's sign of zero, so a memoized call is never replayed for an
+    equal knob set of other types or signs. repr shows both."""
+    calibrate_classical(0.0, delta=0.0)
+    cfg = calibrate_classical(-0.0, delta=-0.0)
+    assert math.copysign(1.0, cfg.epsilon) == -1.0
+    assert math.copysign(1.0, cfg.coin_a.delta) == -1.0
+    assert repr(cfg) == repr(coins._calibrate(-0.0, -0.0, (0.0,) * 4,
+                                              "printed"))
+    betas = (0.0, -0.0, 0.0, -0.0)
+    calibrate_classical(0.0, betas=(0.0,) * 4)
+    got = calibrate_classical(0.0, betas=betas)
+    assert [math.copysign(1.0, c.delta) for c in got.coin_b] == [
+        1.0, -1.0, 1.0, -1.0]
+    calibrate_classical(0.0)
+    assert type(calibrate_classical(0).epsilon) is int
+    assert repr(calibrate_classical(0, delta=1, betas=(1, 2, 3, 4))) == repr(
+        coins._calibrate(0, 1, (1, 2, 3, 4), "printed"))
+
+
+def test_calibration_of_other_knob_types_equals_a_fresh_call():
+    """numpy scalars, 0-d arrays (which do not hash) and a list of betas
+    skip the memo, even after the plain knobs of the same values were
+    memoized."""
+    plain = calibrate_classical(0.01, delta=0.5, betas=(0.1, 0.2, 0.3, 0.4))
+    for epsilon, delta, betas in (
+            (np.float64(0.01), 0.5, (0.1, 0.2, 0.3, 0.4)),
+            (np.array(0.01), 0.5, (0.1, 0.2, 0.3, 0.4)),
+            (0.01, np.float64(0.5), (0.1, 0.2, 0.3, 0.4)),
+            (0.01, 0.5, (0.1, np.float64(0.2), 0.3, 0.4)),
+            (0.01, 0.5, [0.1, 0.2, 0.3, 0.4])):
+        got = calibrate_classical(epsilon, delta=delta, betas=betas)
+        fresh = coins._calibrate(epsilon, delta, betas, "printed")
+        assert got == fresh == plain
+        assert repr(got) == repr(fresh)
+        assert type(got.epsilon) is type(epsilon)
+
+
 def test_coin_angles_need_four_sub_coins():
     with pytest.raises(ValueError, match="exactly four sub-coins"):
         coin_angles(0.0, betas=(0.0,) * 3)

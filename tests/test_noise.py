@@ -5,9 +5,9 @@ import pytest
 
 from parrondoq.coins import SizeLimitError, embed
 from parrondoq.noise import (KINDS, NoiseSpec, completeness_defect,
-                             corner_stack, kraus_single, kraus_stack)
+                             corner_stack, kraus_stack)
 from parrondoq.reference import (MAX_ENUMERATED_QUBITS, apply_channel,
-                                 lift_enumerated)
+                                 lift_enumerated, make_initial_state)
 
 
 def random_density(n_qubits, seed):
@@ -28,15 +28,15 @@ def test_noise_spec_validation():
 
 
 def test_kraus_operator_shapes_and_counts():
-    assert len(kraus_single(NoiseSpec("none", 0.0))) == 1
-    assert len(kraus_single(NoiseSpec("ad", 0.3))) == 2
-    assert len(kraus_single(NoiseSpec("pd", 0.3))) == 2
-    assert len(kraus_single(NoiseSpec("dp", 0.3))) == 4
+    assert len(kraus_stack("none", 0.0)[0]) == 1
+    assert len(kraus_stack("ad", 0.3)[0]) == 2
+    assert len(kraus_stack("pd", 0.3)[0]) == 2
+    assert len(kraus_stack("dp", 0.3)[0]) == 4
 
 
 def test_amplitude_damping_entries():
     p = 0.36
-    e0, e1 = kraus_single(NoiseSpec("ad", p))
+    e0, e1 = kraus_stack("ad", p)[0]
     assert e0[0, 0] == 1 and e0[1, 1] == pytest.approx(np.sqrt(1 - p))
     assert e1[0, 1] == pytest.approx(np.sqrt(p))
     assert e1[0, 0] == e1[1, 0] == e1[1, 1] == 0
@@ -44,7 +44,7 @@ def test_amplitude_damping_entries():
 
 def test_phase_damping_entries():
     p = 0.36
-    e0, e1 = kraus_single(NoiseSpec("pd", p))
+    e0, e1 = kraus_stack("pd", p)[0]
     assert e0[1, 1] == pytest.approx(np.sqrt(1 - p))
     assert e1[1, 1] == pytest.approx(np.sqrt(p))
     assert e1[0, 0] == e1[0, 1] == e1[1, 0] == 0
@@ -52,7 +52,7 @@ def test_phase_damping_entries():
 
 def test_depolarizing_weights():
     p = 0.8
-    ops = kraus_single(NoiseSpec("dp", p))
+    ops = kraus_stack("dp", p)[0]
     assert ops[0][0, 0] == pytest.approx(np.sqrt(1 - 3 * p / 4))
     for e in ops[1:]:
         assert np.abs(e).max() == pytest.approx(np.sqrt(p / 4))
@@ -61,7 +61,7 @@ def test_depolarizing_weights():
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_completeness(kind, p):
-    assert completeness_defect(kraus_single(NoiseSpec(kind, p))) < 1e-12
+    assert completeness_defect(kraus_stack(kind, p)[0]) < 1e-12
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -82,14 +82,14 @@ def test_completeness_of_a_stack_is_its_worst_set(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_corners_are_the_channel_on_basis_operators(kind):
-    spec = NoiseSpec(kind, 0.37)
     corners = corner_stack(kind, 0.37)[0]
     assert corners.shape == (4, 2, 2)
     for x in (0, 1):
         for y in (0, 1):
             basis = np.zeros((2, 2), dtype=complex)
             basis[x, y] = 1.0
-            want = sum(e @ basis @ e.conj().T for e in kraus_single(spec))
+            want = sum(e @ basis @ e.conj().T
+                       for e in kraus_stack(kind, 0.37)[0])
             assert np.abs(corners[2 * x + y] - want).max() < 1e-15
 
 
@@ -101,8 +101,7 @@ def test_stacks_equal_one_point_sets_exactly(kind):
     corners = corner_stack(kind, ps)
     assert corners.shape == (len(ps), 4, 2, 2)
     for p, ops, corner in zip(ps.tolist(), stack, corners):
-        spec = NoiseSpec(kind, p)
-        assert np.array_equal(ops, np.array(kraus_single(spec)))
+        assert np.array_equal(ops, kraus_stack(kind, p)[0])
         assert np.array_equal(corner, corner_stack(kind, p)[0])
 
 
@@ -176,7 +175,7 @@ def test_channel_on_six_qubits_equals_per_qubit_lifted_kraus_sums(kind):
     spec = NoiseSpec(kind, 0.37)
     want = rho
     for q in range(n):
-        lifted = [embed(e, q, n) for e in kraus_single(spec)]
+        lifted = [embed(e, q, n) for e in kraus_stack(kind, 0.37)[0]]
         want = sum(e @ want @ e.conj().T for e in lifted)
     assert np.abs(apply_channel(rho, spec) - want).max() < 1e-12
 
@@ -195,7 +194,7 @@ def test_lift_enumerated_equals_kron_products(kind):
     spec = NoiseSpec(kind, 0.37)
     for n in range(1, MAX_ENUMERATED_QUBITS + 1):
         want = []
-        for combo in product(kraus_single(spec), repeat=n):
+        for combo in product(kraus_stack(kind, 0.37)[0], repeat=n):
             op = combo[0]
             for e in combo[1:]:
                 op = np.kron(op, e)
@@ -262,5 +261,51 @@ def test_phase_damping_keeps_diagonal_kills_coherence():
 
 
 def test_apply_channel_rejects_bad_dimension():
-    with pytest.raises(ValueError):
-        apply_channel(np.eye(3, dtype=complex), NoiseSpec("ad", 0.5))
+    for dim in (3, 6, 12):
+        with pytest.raises(ValueError,
+                           match=f"dimension {dim} is not a power of two"):
+            apply_channel(np.eye(dim, dtype=complex), NoiseSpec("ad", 0.5))
+
+
+def tensordot_channel(rho, spec):
+    """The channel as one ``tensordot`` per qubit on the 2^n x 2^n matrix,
+    a transposed copy of the register each: "xyij,axbcyd->aibcjd". It sums
+    each entry's four terms in the order ``apply_channel`` does, so the two
+    agree bit for bit."""
+    dim = rho.shape[0]
+    n = int(round(np.log2(dim)))
+    corners = corner_stack(spec.kind, spec.p)[0].reshape(2, 2, 2, 2)
+    for q in range(n):
+        hi, lo = 2 ** q, 2 ** (n - 1 - q)
+        rho = np.tensordot(corners, rho.reshape(hi, 2, lo, hi, 2, lo),
+                           axes=([0, 1], [1, 4])).transpose(2, 0, 3, 4, 1, 5)
+    return rho.reshape(dim, dim)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.77, 1.0])
+def test_apply_channel_equals_tensordot_form(kind, p):
+    spec = NoiseSpec(kind, p)
+    for n in range(1, 7):
+        rho = random_density(n, seed=300 + n)
+        assert np.array_equal(apply_channel(rho, spec),
+                              tensordot_channel(rho, spec)), n
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_apply_channel_on_nine_qubit_ghz_equals_tensordot_form(kind):
+    rho = make_initial_state(9)
+    spec = NoiseSpec(kind, 0.3)
+    assert np.array_equal(apply_channel(rho, spec),
+                          tensordot_channel(rho, spec))
+
+
+def test_apply_channel_on_one_entry_returns_it():
+    """A 1 x 1 matrix is a register of no qubits: nothing to apply."""
+    rho = np.array([[0.25 - 0.5j]])
+    for kind in KINDS:
+        out = apply_channel(rho, NoiseSpec(kind, 0.6))
+        assert out.shape == (1, 1)
+        assert np.array_equal(out, rho)
+        assert np.array_equal(out, tensordot_channel(rho,
+                                                     NoiseSpec(kind, 0.6)))
