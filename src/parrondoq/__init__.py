@@ -17,8 +17,8 @@ from .figures import (FIGURES, SweepSetup, figure_csv, figure_rows,
                       rows_to_csv, sweep_rows)
 from .noise import (KINDS, NoiseSpec, completeness_defect, corner_stack,
                     kraus_stack)
-from .reference import (apply_channel, build_unitary, evolve, lift_enumerated,
-                        make_initial_state, payoff_report)
+from .reference import (apply_channel, build_unitary, lift_enumerated,
+                        make_initial_state, play_dense)
 from .verify import CheckResult, format_report, run_all
 
 __version__ = "0.1.0"
@@ -29,8 +29,8 @@ __all__ = [
     "make_coin_b",
     "max_payoff_phases", "parse_sequence",
     "CONVENTION_NAMES", "DEFAULT_CONVENTION", "PayoffConvention",
-    "PayoffReport", "evolve",
-    "make_initial_state", "payoff_report", "play", "play_arrays", "play_many",
+    "PayoffReport",
+    "make_initial_state", "play", "play_arrays", "play_dense", "play_many",
     "FIGURES", "SweepSetup", "figure_csv", "figure_rows", "rows_to_csv",
     "sweep_rows",
     "SizeLimitError",

@@ -12,10 +12,12 @@ size limit. Only the ``verify`` command calls into the ``verify`` module;
 the paper's chain convention is ``--canonical --convention all-perqubit``.
 
 Angles accept multiples of pi ("pi/5", "2pi/3", "-pi/2") as well as plain
-floats and fractions of them ("0.25", ".5", "1e-3", "1/168"). A negative
-value other than a plain decimal follows its flag after "=", as in
-``--theta=-pi/2``: argparse takes the "-pi/2" of ``--theta -pi/2`` for an
-option.
+floats and fractions of them ("0.25", ".5", "1e-3", "1/168"). On every
+angle flag, a negative value other than a plain decimal follows its flag
+after "=", as in ``--theta=-pi/2``: argparse takes the "-pi/2" of
+``--theta -pi/2`` for an option. Where the flag's domain refuses negatives
+anyway, only the message differs: ``--delta -1e-3`` reports "expected one
+argument", ``--delta=-1e-3`` the domain.
 
 ``--config FILE`` reads an INI file whose ``[game]``, ``[noise]`` and
 ``[sweep]`` keys are the flags' dests (``max_phases = true``), each read

@@ -1,11 +1,12 @@
 """Dense reference: the full 2^n x 2^n density matrix, stage by stage.
 
-GHZ matrix (``make_initial_state``) -> channel on every qubit
-(``apply_channel``) -> compiled sequence unitary (``build_unitary``) ->
-``evolve`` -> diagonal readout (``payoff_report``). Every payoff the package
-reports comes from the window sweep in ``engine``; this route computes the
-same numbers the literal way, and the tests and ``verify`` hold the sweep to
-it, for registers up to ``coins.MAX_QUBITS``.
+``play_dense`` is the route's one entry: GHZ matrix (``make_initial_state``)
+-> channel on every qubit (``apply_channel``) -> compiled sequence unitary
+(``build_unitary``) -> the final populations diag(U rho U^H), scored bit by
+bit. Every payoff the package reports comes from the window sweep in
+``engine``; this route computes the same numbers the literal way, and the
+tests hold the sweep to it, for registers up to ``coins.MAX_QUBITS``.
+``verify`` checks the channel and compiler stages on their own.
 
 The channel is one 4 x 4 map per qubit, M[(i,j),(x,y)] = E(|x><y|)[i,j],
 rather than a lifted 2^n x 2^n matrix. The register is transposed once
@@ -16,6 +17,8 @@ no copy of the register per qubit. A game touches no qubit after its
 target, so the sequence unitary grows by one tensor product per game:
 U (x) a for game A, and for game B each row of U times the sub-coin that
 row's two history bits pick. A game ending at qubit t costs O(4^(t+1)).
+Only the diagonal of the final state is scored, so it is read as
+sum_k (U rho)[i,k] conj(U[i,k]): one matmul, and no final 2^n x 2^n state.
 ``coins.embed`` (literal Kronecker lifts) and ``lift_enumerated`` (explicit
 n-qubit Kraus products, one stacked array) are the independent routes these
 are checked against.
@@ -25,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coins import (MAX_QUBITS, GameConfig, SequencePlan, SizeLimitError,
-                    make_coin_a, make_coin_b)
+                    make_coin_a, make_coin_b, parse_sequence)
 from .engine import DEFAULT_CONVENTION, PayoffConvention, PayoffReport, _score
 from .noise import NoiseSpec, corner_stack, kraus_stack
 
@@ -116,22 +119,30 @@ def build_unitary(plan: SequencePlan, cfg: GameConfig) -> np.ndarray:
     return u
 
 
-def evolve(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    if rho.shape != u.shape:
-        raise ValueError(f"shape mismatch: state {rho.shape}, unitary {u.shape}")
-    return u @ rho @ u.conj().T
+def play_dense(sequence: str, cfg: GameConfig, noise: NoiseSpec,
+               convention: PayoffConvention = DEFAULT_CONVENTION
+               ) -> PayoffReport:
+    """Play ``sequence`` the literal way: GHZ matrix, channel, compiled
+    unitary U, then the populations diag(U rho U^H) scored under
+    ``convention``. Raises SizeLimitError above MAX_QUBITS before any
+    matrix is allocated."""
+    plan = parse_sequence(sequence)
+    rho = apply_channel(make_initial_state(plan.total_qubits), noise)
+    u = build_unitary(plan, cfg)
+    # diag(U rho U^H)[i] = sum_k (U rho)[i, k] conj(U[i, k])
+    populations = ((u @ rho) * u.conj()).sum(axis=1).real
+    return _payoff_report(populations, plan, convention)
 
 
-def payoff_report(rho: np.ndarray, plan: SequencePlan,
-                  convention: PayoffConvention = DEFAULT_CONVENTION
-                  ) -> PayoffReport:
-    """Score expectation of a dense final state's diagonal under
-    ``convention``."""
+def _payoff_report(populations, plan: SequencePlan,
+                   convention: PayoffConvention = DEFAULT_CONVENTION
+                   ) -> PayoffReport:
+    """Score expectation of a register's populations (the diagonal of its
+    density matrix, basis state z at index z) under ``convention``."""
     n = plan.total_qubits
-    diag = np.real(np.diag(rho))
     z = np.arange(2 ** n)
     per_qubit = tuple(
-        float(np.sum((2.0 * ((z >> (n - 1 - q)) & 1) - 1.0) * diag))
+        float(np.sum((2.0 * ((z >> (n - 1 - q)) & 1) - 1.0) * populations))
         for q in range(n)
     )
     return PayoffReport(float(_score(per_qubit, plan, convention)),

@@ -142,6 +142,18 @@ def test_size_limit_exit_code(capsys):
         "error: sequence needs more than 999999999 qubits, limit is 11\n")
 
 
+def test_negative_angle_needs_the_equals_form(capsys):
+    """argparse takes "-1e-3" after a space for an option, on every angle
+    flag; after "=" it is read as the value, and delta's domain refuses
+    it."""
+    assert cli.main(["payoff", "--seq", "AAB", "--delta", "-1e-3"]) == 2
+    assert "argument --delta: expected one argument" in (
+        capsys.readouterr().err)
+    assert cli.main(["payoff", "--seq", "AAB", "--delta=-1e-3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: delta -0.001 outside [0, 2pi]\n")
+
+
 @pytest.mark.parametrize("flag", ["theta", "phi1", "phi4"])
 def test_coin_override_out_of_range_names_its_flag(tmp_path, capsys, flag):
     assert cli.main(["payoff", "--seq", "B", f"--{flag}", "4"]) == 2

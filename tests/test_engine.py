@@ -17,8 +17,9 @@ from parrondoq.engine import (CONVENTION_NAMES, PayoffConvention,
                               PayoffReport, _score, play, play_arrays,
                               play_many)
 from parrondoq.noise import KINDS, NoiseSpec, corner_stack
-from parrondoq.reference import (apply_channel, build_unitary, evolve,
-                                 make_initial_state, payoff_report)
+from parrondoq.reference import (_payoff_report, apply_channel,
+                                 build_unitary, make_initial_state,
+                                 play_dense)
 
 PI = math.pi
 PER_QUBIT = PayoffConvention("all", "per_qubit")
@@ -64,12 +65,15 @@ def test_initial_state_limits():
 
 
 def test_dense_reference_stops_at_max_qubits_before_allocating():
-    """Both dense builders refuse a register above ``MAX_QUBITS``: twelve
-    qubits would be a 4096 x 4096 complex matrix (256 MB)."""
+    """The dense entry and both dense builders refuse a register above
+    ``MAX_QUBITS``: twelve qubits would be a 4096 x 4096 complex matrix
+    (256 MB)."""
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimitError, match="register of 12 qubits"):
             make_initial_state(MAX_QUBITS + 1)
+        with pytest.raises(SizeLimitError, match="needs 12 qubits"):
+            play_dense("A^12", fig1_config(), NoiseSpec("dp", 0.3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -79,24 +83,15 @@ def test_dense_reference_stops_at_max_qubits_before_allocating():
         build_unitary(plan, fig1_config())
 
 
-def test_evolve_shape_check():
-    with pytest.raises(ValueError):
-        evolve(np.eye(4, dtype=complex), np.eye(8, dtype=complex))
-
-
 # --- payoff conventions ----------------------------------------------------
-
-def crafted_rho(diagonal):
-    return np.diag(np.asarray(diagonal, dtype=complex))
-
 
 def test_payoff_all_total_counts_every_qubit():
     plan = parse_sequence("AAB")       # 3 qubits, no seeds
-    rho = crafted_rho([0.0] * 7 + [1.0])     # |111>
-    rep = payoff_report(rho, plan, PayoffConvention("all", "total"))
+    diag = [0.0] * 7 + [1.0]                 # |111>
+    rep = _payoff_report(diag, plan, PayoffConvention("all", "total"))
     assert rep.payoff == pytest.approx(3.0)
-    rho = crafted_rho([1.0] + [0.0] * 7)     # |000>
-    rep = payoff_report(rho, plan, PayoffConvention("all", "total"))
+    diag = [1.0] + [0.0] * 7                 # |000>
+    rep = _payoff_report(diag, plan, PayoffConvention("all", "total"))
     assert rep.payoff == pytest.approx(-3.0)
 
 
@@ -106,12 +101,12 @@ def test_payoff_mixture_and_per_qubit_vector():
     diag = [0.0] * 8
     diag[0b101] = 0.5
     diag[0b010] = 0.5
-    rep = payoff_report(crafted_rho(diag), plan)
+    rep = _payoff_report(diag, plan)
     assert rep.payoff == pytest.approx(0.0)
     assert rep.per_qubit == pytest.approx((0.0, 0.0, 0.0))
     diag = [0.0] * 8
     diag[0b110] = 1.0
-    rep = payoff_report(crafted_rho(diag), plan)
+    rep = _payoff_report(diag, plan)
     assert rep.per_qubit == pytest.approx((1.0, 1.0, -1.0))
     assert rep.payoff == pytest.approx(1.0)
 
@@ -120,11 +115,9 @@ def test_payoff_results_mask_skips_seeds():
     plan = parse_sequence("B")         # seeds on qubits 0,1; result on 2
     diag = [0.0] * 8
     diag[0b001] = 1.0                  # seeds lose, result wins
-    rep = payoff_report(crafted_rho(diag), plan,
-                        PayoffConvention("results", "total"))
+    rep = _payoff_report(diag, plan, PayoffConvention("results", "total"))
     assert rep.payoff == pytest.approx(1.0)
-    rep = payoff_report(crafted_rho(diag), plan,
-                        PayoffConvention("all", "total"))
+    rep = _payoff_report(diag, plan, PayoffConvention("all", "total"))
     assert rep.payoff == pytest.approx(-1.0)   # -1 -1 +1
 
 
@@ -135,7 +128,7 @@ def test_payoff_normalizations():
     for name, want in [("all-total", 3.0), ("all-pergame", 3.0),
                        ("all-perqubit", 1.0), ("results-total", 1.0),
                        ("results-pergame", 1.0), ("results-perqubit", 1 / 3)]:
-        rep = payoff_report(crafted_rho(diag), plan, CONVENTION_NAMES[name])
+        rep = _payoff_report(diag, plan, CONVENTION_NAMES[name])
         assert rep.payoff == pytest.approx(want), name
 
 
@@ -172,9 +165,12 @@ def test_payoff_report_is_plain_data():
     assert isinstance(rep.per_qubit, tuple)
     assert len(rep.per_qubit) == 3
     assert all(-1.0 <= v <= 1.0 for v in rep.per_qubit)
-    rho = evolve(apply_channel(make_initial_state(3), noise),
-                 build_unitary(parse_sequence("AAB"), cfg))
-    assert np.trace(rho).real == pytest.approx(1.0)
+    dense = play_dense("AAB", cfg, noise)
+    assert isinstance(dense, PayoffReport)
+    assert abs(dense.payoff - rep.payoff) <= 1e-12
+    assert len(dense.per_qubit) == len(rep.per_qubit)
+    for got, want in zip(dense.per_qubit, rep.per_qubit):
+        assert abs(got - want) <= 1e-12
 
 
 # --- full pipeline against frozen references -------------------------------
@@ -244,12 +240,12 @@ def test_play_unknown_channel_at_p0_all_agree():
 # --- window sweep against the dense reference ------------------------------
 
 def dense_reports(sequence, cfg, noise):
-    """Every convention's report from the dense stages: GHZ matrix, channel,
-    compiled unitary, diagonal."""
+    """Every convention's report from one dense play: its per-qubit values
+    scored under each convention."""
     plan = parse_sequence(sequence)
-    rho = apply_channel(make_initial_state(plan.total_qubits), noise)
-    rho = evolve(rho, build_unitary(plan, cfg))
-    return {name: payoff_report(rho, plan, conv)
+    per_qubit = play_dense(sequence, cfg, noise).per_qubit
+    return {name: PayoffReport(float(_score(per_qubit, plan, conv)),
+                               per_qubit)
             for name, conv in CONVENTION_NAMES.items()}
 
 
@@ -301,6 +297,32 @@ def test_window_sweep_matches_dense_pipeline():
             for got, ref in zip(rep.per_qubit, want.per_qubit):
                 assert abs(got - ref) <= 1e-12, where
                 assert -1.0 <= got <= 1.0, where
+
+
+def test_dense_diagonal_readout_equals_the_literal_product():
+    """``play_dense`` reads only the diagonal of U rho U^H; its per-qubit
+    values equal those of the whole product, formed here and read out bit
+    by bit: seeded random plans of up to 9 qubits on every channel, and the
+    full 11-qubit ``B^9``."""
+    cases = random_cases(20261021, 20)
+    assert {noise.kind for _, _, noise in cases} == set(KINDS)
+    assert max(parse_sequence(seq).total_qubits for seq, _, _ in cases) == 9
+    rng = np.random.default_rng(9)
+    cases.append(("B^9", GameConfig(0.0, random_coin(rng),
+                                    tuple(random_coin(rng) for _ in range(4))),
+                  NoiseSpec("ad", float(rng.uniform()))))
+    for sequence, cfg, noise in cases:
+        plan = parse_sequence(sequence)
+        n = plan.total_qubits
+        rho = apply_channel(make_initial_state(n), noise)
+        u = build_unitary(plan, cfg)
+        diagonal = np.diag(u @ rho @ u.conj().T).real
+        bits = np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+        want = (2.0 * bits - 1.0).T @ diagonal
+        got = play_dense(sequence, cfg, noise).per_qubit
+        assert len(got) == n, sequence
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14, \
+            f"{sequence} {noise}"
 
 
 def test_entry_factors_are_coin_sandwiched_corners():
