@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coins import (MAX_QUBITS, GameConfig, SequencePlan, SizeLimitError,
-                    make_coin_a, make_coin_b, parse_sequence)
+                    _qubit_count, make_coin_a, make_coin_b, parse_sequence)
 from .engine import DEFAULT_CONVENTION, PayoffConvention, PayoffReport, _score
 from .noise import NoiseSpec, corner_stack, kraus_stack
 
@@ -54,11 +54,10 @@ def apply_channel(rho: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     """Apply the channel to every qubit of a register density matrix: on
     qubit q, each block |x><y| of that qubit becomes E(|x><y|). At p = 0
     that is exactly |x><y|: a copy of ``rho``, bit for bit. A 1 x 1
-    matrix, a register of no qubits, comes back as it is."""
-    dim = rho.shape[0]
-    n = int(round(np.log2(dim)))
-    if 2 ** n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
+    matrix, a register of no qubits, comes back as it is; any matrix
+    other than a square 2^k x 2^k one is a ValueError."""
+    n = _qubit_count(rho)
+    dim = 2 ** n
     # M transposed: row xy holds E(|x><y|), so v[., xy] @ it gives v'[., ij]
     channel_map = corner_stack(spec.kind, spec.p)[0].reshape(4, 4)
     # axes r0 c0 r1 c1 ...: each qubit's row and column axis side by side

@@ -16,7 +16,10 @@ statuses and tolerances. A check over a grid of strengths, channels, phases
 or biases builds its ``(GameConfig, NoiseSpec)`` points first and plays them
 with one ``engine.play_many`` call per sequence; only the timing check plays
 a single point. A batch returns exactly the payoffs of the same points
-played one by one, so the residuals do not depend on the batching.
+played one by one, so the residuals do not depend on the batching. The
+checks calibrate through two caches of this module, ``_config`` (keyed by
+the checks' own knob literals) and ``_preset_config`` (a figure preset's
+coins), so the registry's dozen configs are calibrated once per process.
 
 One rule holds the simulation to a printed form (``_classify_printed_form``).
 Alone, the printed form passes or fails. Given a model form (a corrected
@@ -39,6 +42,7 @@ failures.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from contextvars import ContextVar
@@ -88,8 +92,19 @@ def _classified(check_id, tag, residual, tolerance, detail):
                        tolerance, detail)
 
 
-def _fig1_config():
-    return FIGURES[1].point(0.0, "none")[0]
+@functools.cache
+def _config(epsilon, delta=0.0, betas=(0.0,) * 4, assignment="printed"):
+    """``calibrate_classical`` at one of the checks' knob sets, calibrated
+    once per process. The function is looked up at call time, so a wrapper
+    set on this module's ``calibrate_classical`` sees every miss."""
+    return calibrate_classical(epsilon, delta=delta, betas=betas,
+                               assignment=assignment)
+
+
+@functools.cache
+def _preset_config(number):
+    """The coins of figure preset ``number`` at value 0, built once."""
+    return FIGURES[number].point(0.0, "none")[0]
 
 
 def _payoffs(sequence, points, convention=DEFAULT_CONVENTION) -> list:
@@ -151,7 +166,7 @@ def check_pd_diagonal_invariance() -> CheckResult:
 
 def check_gamma_alpha_independence() -> CheckResult:
     """The payoff never depends on the gamma-type phases of either coin."""
-    fig1 = _fig1_config()
+    fig1 = _preset_config(1)
     points = []
     for gamma in (0.0, 1.1, 5.9):
         for alpha in (0.0, 0.7, 2.3):
@@ -175,7 +190,7 @@ def check_coin_unitarity() -> CheckResult:
         gamma, delta = (float(rng.uniform(0, 2 * _PI)) for _ in range(2))
         a = make_coin_a(CoinParams(theta, gamma, delta))
         worst = max(worst, np.abs(a @ a.conj().T - np.eye(2)).max())
-    cfg = _fig1_config()
+    cfg = _preset_config(1)
     b = make_coin_b(cfg.coin_b)
     worst = max(worst, np.abs(b @ b.conj().T - np.eye(8)).max())
     return _result("coin_unitarity", worst, 1e-12)
@@ -200,7 +215,7 @@ def check_compiler_products() -> CheckResult:
     ``block (x) rest`` with rest = block^(x)(n-1), compared one row block
     of ``block`` at a time, so neither the full tensor power nor the
     difference is ever formed."""
-    cfg = _fig1_config()
+    cfg = _preset_config(1)
     a = make_coin_a(cfg.coin_a)
     b = make_coin_b(cfg.coin_b)
     id2 = np.eye(2)
@@ -243,7 +258,7 @@ def check_initial_state() -> CheckResult:
 
 def check_aab_p0_channel_agreement() -> CheckResult:
     """At p=0 every channel must reproduce the undecohered payoff."""
-    cfg = _fig1_config()
+    cfg = _preset_config(1)
     base, *others = _payoffs("AAB", [(cfg, NoiseSpec(kind, 0.0)) for kind
                                      in ("none", "ad", "dp", "pd")])
     worst = max(abs(value - base) for value in others)
@@ -281,7 +296,7 @@ def _classify_printed_form(check_id, sequences, points, printed, tolerance,
 
 def check_aab_ad_tracks_reference() -> CheckResult:
     """Simulated AAB payoff vs the amplitude-damping closed form."""
-    configs = [_fig1_config(), calibrate_classical(
+    configs = [_preset_config(1), _config(
         1 / 112, delta=_PI / 3, betas=(_PI / 6, _PI, _PI / 5, 2 * _PI / 3))]
     points = [(cfg, NoiseSpec("ad", p)) for cfg in configs for p in _P11]
     return _classify_printed_form(
@@ -290,7 +305,7 @@ def check_aab_ad_tracks_reference() -> CheckResult:
 
 
 def _aab_misprint(check_id, kind, explain) -> CheckResult:
-    cfg = _fig1_config()
+    cfg = _preset_config(1)
     points = [(cfg, NoiseSpec(kind, p)) for p in _P11]
     return _classify_printed_form(
         check_id, ("AAB",), points,
@@ -325,13 +340,9 @@ _CHAIN_TOL = {1: 1e-6, 2: 1e-6, 3: 5e-3}
 def _chain_points(grid) -> list:
     """``(GameConfig, NoiseSpec)`` of every ``(channel, p, eps, order)`` of
     ``grid``, in order: the max-payoff phases and the given probability
-    order, with one calibrated configuration per distinct (eps, order)."""
-    keys = dict.fromkeys((eps, order) for _, _, eps, order in grid)
-    configs = {(eps, order): calibrate_classical(
-        eps, betas=max_payoff_phases(0.0), assignment=order)
-        for eps, order in keys}
-    return [(configs[eps, order], NoiseSpec(kind, p))
-            for kind, p, eps, order in grid]
+    order."""
+    return [(_config(eps, betas=max_payoff_phases(0.0), assignment=order),
+             NoiseSpec(kind, p)) for kind, p, eps, order in grid]
 
 
 def _chain_play(seq, grid) -> list:
@@ -502,8 +513,7 @@ def check_a_series() -> CheckResult:
     proportional to cos(delta)*sqrt(1-p); at delta = pi/2 it vanishes, so
     there every length pays those values. The stock slope -(3/32)*eps*p
     matches at no chain length."""
-    configs = {eps: calibrate_classical(eps, delta=_PI / 2,
-                                        assignment="canonical")
+    configs = {eps: _config(eps, delta=_PI / 2, assignment="canonical")
                for eps in _CHAIN_EPS}
     points = [(configs[eps], NoiseSpec(kind, p)) for eps in configs
               for p in (0.0, 0.25, 0.5, 1.0) for kind in ("dp", "pd", "ad")]
@@ -558,8 +568,8 @@ def check_chain_phase_independence() -> CheckResult:
     """Pure-B chain payoffs ignore the quantum phases entirely."""
     phase_sets = ((0.0, 0.0, 0.0, 0.0), max_payoff_phases(_PI / 5),
                   (_PI / 7, 1.1, 2.2, 5.5))
-    points = [(calibrate_classical(1 / 168, delta=_PI / 5, betas=betas,
-                                   assignment="canonical"),
+    points = [(_config(1 / 168, delta=_PI / 5, betas=betas,
+                       assignment="canonical"),
                NoiseSpec("ad", 0.3)) for betas in phase_sets]
     worst = 0.0
     for seq in ("B", "BB"):
@@ -589,7 +599,7 @@ def check_fig2_symmetry() -> CheckResult:
             worst = max(worst, abs(pd[v] - pd[match]))
     counted = f"{paired} of {len(values)} points paired"
     if worst > 1e-9:
-        c, s = oracle.aab_phase_moments(FIGURES[2].point(0.0, "pd")[0])
+        c, s = oracle.aab_phase_moments(_preset_config(2))
         return _classified(
             "fig2_symmetry", "asymmetric-about-pi/2", worst, 1e-9,
             f"phase-damping curve reflected about pi/2, {counted}; the "
@@ -602,7 +612,7 @@ def check_performance() -> CheckResult:
     """Nine-qubit triple-AAB depolarizing play inside the time budget.
     ``play`` sweeps a window of at most three qubits, not the
     512-dimensional register."""
-    cfg = _fig1_config()
+    cfg = _preset_config(1)
     start = time.perf_counter()
     play("(AAB)^3", cfg, NoiseSpec("dp", 0.3))
     elapsed = time.perf_counter() - start

@@ -235,65 +235,29 @@ def test_coin_angles_and_calibration_refuse_alike(knobs, message):
     assert str(scalar.value) == str(batch.value) == message
 
 
-@pytest.mark.parametrize("knobs,message", [row[1:] for row in OUT_OF_RANGE],
-                         ids=[row[0] for row in OUT_OF_RANGE])
-def test_calibration_memo_keeps_no_errors(knobs, message, monkeypatch):
-    """Configs are memoized, errors never: every call calibrates and
-    raises afresh."""
-    knobs = dict(knobs)
-    epsilon = knobs.pop("epsilon", 0.0)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return coin_angles(*args)
-    monkeypatch.setattr(coins, "coin_angles", counted)
-    for attempt in range(1, 4):
-        with pytest.raises(ValueError) as err:
-            calibrate_classical(epsilon, **knobs)
-        assert str(err.value) == message
-        assert len(calls) == attempt
-
-
-def test_calibration_memo_stays_bounded():
-    # twice as many distinct knob sets as the memo keeps
-    epsilons = np.linspace(0.0, 0.1, 2 * coins._CONFIG_MEMO_SIZE).tolist()
-    for eps in epsilons:
-        assert calibrate_classical(eps) == coins._calibrate(
-            eps, 0.0, (0.0,) * 4, "printed")
-    info = coins._calibrated.cache_info()
-    assert info.maxsize == coins._CONFIG_MEMO_SIZE
-    assert info.currsize <= coins._CONFIG_MEMO_SIZE
-    # a replayed knob set is the kept config itself
-    assert calibrate_classical(epsilons[-1]) is calibrate_classical(
-        epsilons[-1])
-
-
-def test_calibration_memo_tells_equal_knobs_apart():
+def test_calibration_tells_equal_knobs_apart():
     """1 == 1.0 and 0.0 == -0.0, but a config keeps epsilon's type and
-    each phase's sign of zero, so a memoized call is never replayed for an
-    equal knob set of other types or signs. repr shows both."""
-    calibrate_classical(0.0, delta=0.0)
+    each phase's sign of zero, and repr shows both."""
     cfg = calibrate_classical(-0.0, delta=-0.0)
     assert math.copysign(1.0, cfg.epsilon) == -1.0
     assert math.copysign(1.0, cfg.coin_a.delta) == -1.0
-    assert repr(cfg) == repr(coins._calibrate(-0.0, -0.0, (0.0,) * 4,
-                                              "printed"))
-    betas = (0.0, -0.0, 0.0, -0.0)
-    calibrate_classical(0.0, betas=(0.0,) * 4)
-    got = calibrate_classical(0.0, betas=betas)
+    assert repr(cfg).startswith("GameConfig(epsilon=-0.0, ")
+    assert "delta=-0.0)" in repr(cfg.coin_a)
+    got = calibrate_classical(0.0, betas=(0.0, -0.0, 0.0, -0.0))
     assert [math.copysign(1.0, c.delta) for c in got.coin_b] == [
         1.0, -1.0, 1.0, -1.0]
-    calibrate_classical(0.0)
-    assert type(calibrate_classical(0).epsilon) is int
-    assert repr(calibrate_classical(0, delta=1, betas=(1, 2, 3, 4))) == repr(
-        coins._calibrate(0, 1, (1, 2, 3, 4), "printed"))
+    assert [repr(c).endswith("delta=-0.0)") for c in got.coin_b] == [
+        False, True, False, True]
+    whole = calibrate_classical(0, delta=1, betas=(1, 2, 3, 4))
+    assert type(whole.epsilon) is int
+    assert repr(whole).startswith("GameConfig(epsilon=0, ")
+    assert whole == calibrate_classical(0.0, delta=1.0,
+                                        betas=(1.0, 2.0, 3.0, 4.0))
 
 
-def test_calibration_of_other_knob_types_equals_a_fresh_call():
-    """numpy scalars, 0-d arrays (which do not hash) and a list of betas
-    skip the memo, even after the plain knobs of the same values were
-    memoized."""
+def test_calibration_of_other_knob_types_equals_plain_floats():
+    """numpy scalars, a 0-d array and a list of betas calibrate to the
+    config of the plain floats, and epsilon keeps its type."""
     plain = calibrate_classical(0.01, delta=0.5, betas=(0.1, 0.2, 0.3, 0.4))
     for epsilon, delta, betas in (
             (np.float64(0.01), 0.5, (0.1, 0.2, 0.3, 0.4)),
@@ -302,9 +266,9 @@ def test_calibration_of_other_knob_types_equals_a_fresh_call():
             (0.01, 0.5, (0.1, np.float64(0.2), 0.3, 0.4)),
             (0.01, 0.5, [0.1, 0.2, 0.3, 0.4])):
         got = calibrate_classical(epsilon, delta=delta, betas=betas)
-        fresh = coins._calibrate(epsilon, delta, betas, "printed")
-        assert got == fresh == plain
-        assert repr(got) == repr(fresh)
+        assert got == plain
+        assert repr((got.coin_a, got.coin_b)) == repr(
+            (plain.coin_a, plain.coin_b))
         assert type(got.epsilon) is type(epsilon)
 
 
@@ -681,6 +645,10 @@ def test_embed_rejects_out_of_range():
         embed(x, 2, 3)          # would hang off the end
     with pytest.raises(ValueError):
         embed(x, -1, 3)
+    for op, n in ((np.eye(3), 2), (np.eye(6), 4)):
+        with pytest.raises(ValueError, match=f"dimension {len(op)} is not "
+                           "a power of two"):
+            embed(op, 0, n)
 
 
 def test_embed_size_limit(monkeypatch):

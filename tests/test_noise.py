@@ -261,10 +261,12 @@ def test_phase_damping_keeps_diagonal_kills_coherence():
 
 
 def test_apply_channel_rejects_bad_dimension():
-    for dim in (3, 6, 12):
+    for dim in (3, 6, 12, 0):
         with pytest.raises(ValueError,
                            match=f"dimension {dim} is not a power of two"):
             apply_channel(np.eye(dim, dtype=complex), NoiseSpec("ad", 0.5))
+    with pytest.raises(ValueError, match=r"shape \(4, 2\) is not square"):
+        apply_channel(np.zeros((4, 2), dtype=complex), NoiseSpec("ad", 0.5))
 
 
 def tensordot_channel(rho, spec):

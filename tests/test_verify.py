@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from parrondoq import cli, engine, oracle, verify
+from parrondoq import cli, engine, figures, oracle, verify
 from parrondoq.coins import calibrate_classical
 from parrondoq.figures import FIGURES, sweep_rows
 from parrondoq.noise import NoiseSpec
@@ -121,6 +121,35 @@ def test_one_run_plays_the_convention_search_once(monkeypatch):
     assert len(plays) == 2
     verify._chain_search()
     assert len(plays) == 3
+
+
+def test_run_all_calibrates_its_configs_once(monkeypatch):
+    """A run calibrates each of its 12 knob sets once, and the next run
+    calibrates none, with every result unchanged but the timing check's."""
+    verify._config.cache_clear()
+    verify._preset_config.cache_clear()
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (verify, figures):
+        monkeypatch.setattr(module, "calibrate_classical",
+                            counted(module.calibrate_classical))
+    cold = verify.run_all()
+    assert len(calls) == 12
+    warm = verify.run_all()
+    assert len(calls) == 12
+
+    def seen(results):
+        return [(r.check_id, r.status, repr(r.residual), r.tolerance,
+                 r.detail) for r in results
+                if r.check_id != "performance_9q_pipeline"]
+    assert seen(warm) == seen(cold)
+    assert len(seen(cold)) == len(verify.CHECKS) - 1
 
 
 def test_run_all_records_each_check_time(timed_registry):
