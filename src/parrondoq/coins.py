@@ -103,15 +103,6 @@ def coin_matrices(theta, gamma, delta) -> np.ndarray:
     return coins.reshape(coins.shape[:-1] + (2, 2))
 
 
-def block_coins(subs: np.ndarray) -> np.ndarray:
-    """B coins ``(..., 8, 8)`` from sub-coin stacks ``(..., 4, 2, 2)``:
-    block diagonal, history bits 00,01,10,11 select sub-coin 1..4."""
-    b = np.zeros(subs.shape[:-3] + (8, 8), dtype=np.complex128)
-    for i in range(4):
-        b[..., 2 * i:2 * i + 2, 2 * i:2 * i + 2] = subs[..., i, :, :]
-    return b
-
-
 def make_coin_a(params: CoinParams) -> np.ndarray:
     """2x2 coin: the one-coin case of ``coin_matrices``."""
     return coin_matrices(params.theta, params.gamma, params.delta)
@@ -122,7 +113,10 @@ def make_coin_b(params: tuple[CoinParams, ...]) -> np.ndarray:
     if len(params) != 4:
         raise ValueError("game B takes exactly four sub-coins")
     angles = np.array([(s.theta, s.gamma, s.delta) for s in params])
-    return block_coins(coin_matrices(*angles.T))
+    b = np.zeros((8, 8), dtype=np.complex128)
+    for i, sub in enumerate(coin_matrices(*angles.T)):
+        b[2 * i:2 * i + 2, 2 * i:2 * i + 2] = sub
+    return b
 
 
 def _refuse_outside(fields, high: float, interval: str) -> None:

@@ -28,24 +28,23 @@ coefficient, a remapped strength, another slope), the result is
 the printed form misses by more than 1e-3 on every sequence; otherwise the
 model form passes or fails.
 
-Two checks hold the payoff convention. One residual table (``_chain_search``)
-scores every probability order and engine convention on the B chains, with
+Two checks hold the payoff convention. A residual table (``_chain_search``)
+scores probability orders and every engine convention on B chain rows, with
 the chain checks' points (``_chain_points``), eps pair and per-length
-tolerances. ``check_convention_search`` finds no printed-order cell that fits
-every row; ``check_convention_discovery`` finds exactly one cell that fits the
-anchor rows, ``canonical/all-perqubit``. Within one ``run_all`` the two checks
-read one table.
+tolerances. Each check plays only the cells it reads:
+``check_convention_search`` finds no printed-order cell that fits all nine
+rows; ``check_convention_discovery`` finds exactly one cell of both orders
+that fits the anchor rows, ``canonical/all-perqubit``.
 
-``run_all`` executes the registry and records each check's wall time on its
-result; the CLI renders one line per check and exits nonzero only on hard
-failures.
+``run_all`` executes the registry, whose checks share no state, and records
+each check's wall time on its result; the CLI renders one line per check and
+exits nonzero only on hard failures.
 """
 from __future__ import annotations
 
 import functools
 import math
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
@@ -352,38 +351,26 @@ def _chain_play(seq, grid) -> list:
                                         for point in grid]), _PER_QUBIT)
 
 
-#: What the checks of the ``run_all`` running in this context share; None
-#: outside a run, so nothing a run shares outlives it.
-_RUN: ContextVar[dict | None] = ContextVar("verify_run", default=None)
-
-
-def _chain_search() -> dict:
-    """The residual table of every candidate, a probability order and an
-    engine convention: "order/convention" -> {"seq:channel": max |simulated
-    - reference| over both eps and p in {0, 0.25, 0.5}}. One ``run_all``
-    plays it once, for both convention checks; outside a run every call
-    plays it."""
-    run = _RUN.get()
-    if run is None:
-        return _play_chain_search()
-    if "chain_search" not in run:
-        run["chain_search"] = _play_chain_search()
-    return run["chain_search"]
-
-
-def _play_chain_search() -> dict:
-    """``_chain_search``'s table. Each chain sequence is played once, as one
-    batch over both orders, eps, strength and channel; every convention
-    scores that batch."""
-    kinds, orders = ("ad", "dp", "pd"), ("printed", "canonical")
+def _chain_search(orders, rows) -> dict:
+    """The residual table of every candidate, a probability order of
+    ``orders`` and an engine convention: "order/convention" -> {row: max
+    |simulated - reference| over both eps and p in {0, 0.25, 0.5}} for each
+    "seq:channel" row of ``rows``. Each chain sequence of ``rows`` is played
+    once, as one batch over the orders, eps, strength and its channels;
+    every convention scores that batch."""
     table = {f"{order}/{name}": {} for order in orders
              for name in CONVENTION_NAMES}
-    grid = [(kind, p, eps, order) for order in orders for eps in _CHAIN_EPS
-            for p in (0.0, 0.25, 0.5) for kind in kinds]
-    points = _chain_points(grid)
-    for seq in ("B", "BB", "BBB"):
+    kinds_of: dict = {}
+    for row in rows:
+        seq, kind = row.split(":")
+        kinds_of.setdefault(seq, []).append(kind)
+    for seq, kinds in kinds_of.items():
+        grid = [(kind, p, eps, order) for order in orders
+                for eps in _CHAIN_EPS for p in (0.0, 0.25, 0.5)
+                for kind in kinds]
         plan = parse_sequence(seq)
-        per_qubit = [report.per_qubit for report in play_many(seq, points)]
+        per_qubit = [report.per_qubit
+                     for report in play_many(seq, _chain_points(grid))]
         refs = np.array([oracle.chain_b(len(seq), kind, p, eps)
                          for kind, p, eps, _ in grid])
         names = [f"{seq}:{kind}" for kind in kinds]
@@ -396,13 +383,17 @@ def _play_chain_search() -> dict:
     return table
 
 
-def _fitting(table, rows=None) -> list:
+def _fitting(table) -> list:
     """The cells of ``table`` within the chain tolerance of each row's
-    length on ``rows``, or on every row."""
+    length on every row."""
     return [cell for cell, residuals in table.items()
-            if all(residuals[row] <= _CHAIN_TOL[len(row.split(":")[0])]
-                   for row in rows or residuals)]
+            if all(residual <= _CHAIN_TOL[len(row.split(":")[0])]
+                   for row, residual in residuals.items())]
 
+
+#: Every chain row, "seq:channel", the direct search holds to its value.
+_CHAIN_ROWS = tuple(f"{seq}:{kind}" for seq in ("B", "BB", "BBB")
+                    for kind in ("ad", "dp", "pd"))
 
 #: Rows used to anchor the extended search. The dp rows are excluded (the
 #: reference dp rows assume a different channel scaling, as
@@ -414,8 +405,9 @@ _ANCHOR_ROWS = ("B:ad", "B:pd", "BB:ad", "BB:pd", "BBB:pd")
 def check_convention_search() -> CheckResult:
     """The search's direct part, printed order x mask x {total, per_game},
     must come up empty..."""
-    direct = {cell: rows for cell, rows in _chain_search().items()
-              if cell.startswith("printed/") and not cell.endswith("perqubit")}
+    direct = {cell: rows for cell, rows
+              in _chain_search(("printed",), _CHAIN_ROWS).items()
+              if not cell.endswith("perqubit")}
     best = min(max(rows.values()) for rows in direct.values())
     matches = _fitting(direct)
     if matches:
@@ -432,15 +424,15 @@ def check_convention_discovery() -> CheckResult:
     """...while the amplitude- and phase-damping anchor rows pin exactly one
     working convention: canonical order, all qubits, per-qubit
     normalization."""
-    table = _chain_search()
-    matches = _fitting(table, _ANCHOR_ROWS)
+    table = _chain_search(("printed", "canonical"), _ANCHOR_ROWS)
+    matches = _fitting(table)
     if len(matches) != 1:
         return CheckResult("convention_discovery", "FAIL", math.inf,
                            _CHAIN_TOL[1], f"extended search found "
                            f"{len(matches)} matching conventions (expected "
                            "exactly 1)")
     found, = matches
-    worst = max(table[found][row] for row in _ANCHOR_ROWS
+    worst = max(residual for row, residual in table[found].items()
                 if not row.startswith("BBB"))
     if found != "canonical/all-perqubit":
         return CheckResult("convention_discovery", "FAIL", worst,
@@ -635,17 +627,13 @@ CHECKS = tuple(check for name, check in globals().items()
 
 def run_all() -> list:
     """Every check's result, in registry order, each carrying its wall time
-    in ``elapsed``. The checks share one ``_chain_search`` table, for this
-    run only."""
-    results, token = [], _RUN.set({})
-    try:
-        for check in CHECKS:
-            start = time.perf_counter()
-            result = check()
-            results.append(replace(result,
-                                   elapsed=time.perf_counter() - start))
-    finally:
-        _RUN.reset(token)
+    in ``elapsed``. The checks share no state, so each time is its own
+    check's work."""
+    results = []
+    for check in CHECKS:
+        start = time.perf_counter()
+        result = check()
+        results.append(replace(result, elapsed=time.perf_counter() - start))
     return results
 
 

@@ -91,7 +91,7 @@ def test_direct_convention_search_fails_with_full_residual_table():
     search's direct cells, printed order x the engine's total and per-game
     conventions, carry a residual for every reference row, and every row
     misses."""
-    residuals = verify._chain_search()
+    residuals = verify._chain_search(("printed",), verify._CHAIN_ROWS)
     direct = [f"printed/{name}" for name, c in CONVENTION_NAMES.items()
               if c.normalization != "per_qubit"]
     assert len(direct) == 4           # the direct candidate space
@@ -106,7 +106,8 @@ def test_extended_search_pins_unique_convention():
     """The search table spans both probability orders and every engine
     convention, and the cell ``convention_discovery`` pins, canonical order
     with all qubits counted per qubit, fits the anchor rows."""
-    residuals = verify._chain_search()
+    residuals = verify._chain_search(("printed", "canonical"),
+                                     verify._ANCHOR_ROWS)
     assert set(residuals) == {f"{order}/{name}"
                               for order in ("printed", "canonical")
                               for name in CONVENTION_NAMES}

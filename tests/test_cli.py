@@ -501,10 +501,10 @@ def test_no_command_but_verify_runs_the_convention_search(capsys,
     any convention the parser offers, in either probability order."""
     from parrondoq import verify
 
-    def refuse():
+    def refuse(orders, rows):
         raise AssertionError("the convention search was played")
 
-    monkeypatch.setattr(verify, "_play_chain_search", refuse)
+    monkeypatch.setattr(verify, "_chain_search", refuse)
     payoff = cli.build_parser()._subparsers._group_actions[0].choices[
         "payoff"]
     convention, = (action for action in payoff._actions

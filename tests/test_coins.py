@@ -7,7 +7,7 @@ import pytest
 
 from parrondoq import coins
 from parrondoq.coins import (CoinParams, GameConfig, ParseError,
-                             SequencePlan, SizeLimitError, block_coins,
+                             SequencePlan, SizeLimitError,
                              calibrate_classical, coin_angles, coin_matrices,
                              embed, make_coin_a, make_coin_b,
                              max_payoff_phases, parse_sequence)
@@ -78,12 +78,9 @@ def test_coin_stacks_equal_one_coin_builds():
                        for row in subs])
     stack = coin_matrices(angles[..., 0], angles[..., 1], angles[..., 2])
     assert stack.shape == (5, 4, 2, 2)
-    blocks = block_coins(stack)
-    assert blocks.shape == (5, 8, 8)
     for g, row in enumerate(subs):
         for i, coin in enumerate(row):
             assert np.array_equal(stack[g, i], make_coin_a(coin))
-        assert np.array_equal(blocks[g], make_coin_b(tuple(row)))
 
 
 def _four_exponential_coins(theta, gamma, delta):

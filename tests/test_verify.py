@@ -85,10 +85,10 @@ def test_compiler_products_sees_every_row_block(monkeypatch, entry):
 
 def test_run_all_batches_every_grid(monkeypatch):
     """Each grid check plays its points as one ``play_many`` per sequence,
-    and the convention checks share one search, which plays one batch per
-    chain sequence. Only ``performance_9q_pipeline`` times a single
-    ``play``. Before the checks were batched, one ``run_all`` made 368
-    single-point ``play`` calls and 402 window sweeps."""
+    and each convention check one batch per chain sequence it reads. Only
+    ``performance_9q_pipeline`` times a single ``play``. Before the checks
+    were batched, one ``run_all`` made 368 single-point ``play`` calls and
+    402 window sweeps."""
     calls = {"play": 0, "sweep": 0}
 
     def counted(name, fn):
@@ -105,22 +105,40 @@ def test_run_all_batches_every_grid(monkeypatch):
     assert calls["sweep"] <= 50
 
 
-def test_one_run_plays_the_convention_search_once(monkeypatch):
-    """Both convention checks of a run read one search table, and no table
-    outlives its run: the next run, and a search outside any run, play the
-    search afresh."""
-    plays = []
-    play = verify._play_chain_search
-    monkeypatch.setattr(verify, "_play_chain_search",
-                        lambda: plays.append(1) or play())
+def test_each_convention_check_plays_its_own_search(monkeypatch):
+    """Each convention check of a run plays the search once, for its own
+    orders and rows, and shares no table: the next run, and a check called
+    outside any run, play the search afresh."""
+    calls = []
+    search = verify._chain_search
+    monkeypatch.setattr(verify, "_chain_search", lambda orders, rows: (
+        calls.append((orders, rows)) or search(orders, rows)))
     monkeypatch.setattr(verify, "CHECKS", (verify.check_convention_search,
                                            verify.check_convention_discovery))
+    own = [(("printed",), verify._CHAIN_ROWS),
+           (("printed", "canonical"), verify._ANCHOR_ROWS)]
     first = verify.run_all()
-    assert len(plays) == 1
+    assert calls == own
     assert verify.run_all() == first
-    assert len(plays) == 2
-    verify._chain_search()
-    assert len(plays) == 3
+    assert calls == own * 2
+    verify.check_convention_discovery()
+    assert calls == own * 2 + own[1:]
+
+
+def test_registry_does_not_depend_on_its_order(monkeypatch, registry):
+    """The checks share no state: run in reverse, or a convention check
+    called alone, each gives its row of the registry."""
+    def seen(results):
+        return {r.check_id: (r.status, repr(r.residual), r.tolerance,
+                             r.detail) for r in results
+                if r.check_id != "performance_9q_pipeline"}
+    expected = seen(registry)
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[::-1])
+    assert seen(verify.run_all()) == expected
+    for check in (verify.check_convention_search,
+                  verify.check_convention_discovery):
+        result = check()
+        assert seen([result])[result.check_id] == expected[result.check_id]
 
 
 def test_run_all_calibrates_its_configs_once(monkeypatch):
@@ -186,7 +204,7 @@ def test_discovery_of_another_cell_is_a_fail_result(monkeypatch):
     """One fitting cell that is not ``canonical/all-perqubit`` fails the
     discovery check, with the cell it found."""
     rows = dict.fromkeys(verify._ANCHOR_ROWS, 0.0)
-    monkeypatch.setattr(verify, "_chain_search", lambda: {
+    monkeypatch.setattr(verify, "_chain_search", lambda orders, names: {
         "printed/all-total": rows,
         "canonical/all-perqubit": dict.fromkeys(rows, 1.0)})
     result = verify.check_convention_discovery()
@@ -199,7 +217,7 @@ def test_direct_match_is_a_fail_result(monkeypatch):
     """A direct cell, printed order without per-qubit normalization, that
     fits every row fails the search check, with the cell it matched."""
     rows = dict.fromkeys(("B:ad", "BB:pd", "BBB:dp"), 0.0)
-    monkeypatch.setattr(verify, "_chain_search", lambda: {
+    monkeypatch.setattr(verify, "_chain_search", lambda orders, names: {
         "printed/all-total": rows,
         "printed/results-total": dict.fromkeys(rows, 1.0)})
     result = verify.check_convention_search()
