@@ -7,6 +7,8 @@ damping) acts on the register before play. The package simulates arbitrary
 game sequences, evaluates closed-form reference payoffs, and cross-validates
 the two against each other.
 """
+import importlib
+
 from .coins import (CoinParams, GameConfig, ParseError, SequencePlan,
                     SizeLimitError, calibrate_classical, coin_angles,
                     make_coin_a, make_coin_b, max_payoff_phases,
@@ -17,11 +19,17 @@ from .figures import (FIGURES, SweepSetup, figure_csv, figure_rows,
                       rows_to_csv, sweep_rows)
 from .noise import (KINDS, NoiseSpec, completeness_defect, corner_stack,
                     kraus_stack)
-from .reference import (apply_channel, build_unitary, lift_enumerated,
-                        make_initial_state, play_dense)
-from .verify import CheckResult, format_report, run_all
 
 __version__ = "0.1.0"
+
+#: Names imported from ``reference`` and ``verify`` on first access, so that
+#: importing the package (and every CLI command but ``verify``) loads neither.
+_LAZY = {
+    "apply_channel": "reference", "build_unitary": "reference",
+    "lift_enumerated": "reference", "make_initial_state": "reference",
+    "play_dense": "reference",
+    "CheckResult": "verify", "format_report": "verify", "run_all": "verify",
+}
 
 __all__ = [
     "CoinParams", "GameConfig", "ParseError", "SequencePlan",
@@ -39,3 +47,13 @@ __all__ = [
     "CheckResult", "format_report", "run_all",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """Resolve a ``_LAZY`` name and keep it in the package namespace, so
+    later lookups and ``vars(parrondoq)`` see it like any eager name."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

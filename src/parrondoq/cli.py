@@ -8,8 +8,10 @@ not take: it recalibrates the coins at each grid point. The game flags are
 the knobs a payoff can depend on; those that calibrate the coins are
 exactly the ones ``coins.coin_angles`` takes.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 register
-size limit. Only the ``verify`` command calls into the ``verify`` module;
-the paper's chain convention is ``--canonical --convention all-perqubit``.
+size limit. Only the ``verify`` command imports the ``verify`` module, inside
+``cmd_verify``, so ``payoff``, ``sweep`` and ``figure`` load neither it nor
+the dense ``reference`` route it checks against. The paper's chain
+convention is ``--canonical --convention all-perqubit``.
 
 Angles accept multiples of pi ("pi/5", "2pi/3", "-pi/2") as well as plain
 floats and fractions of them ("0.25", ".5", "1e-3", "1/168"). On every
@@ -43,7 +45,6 @@ from .engine import CONVENTION_NAMES, play_arrays
 from .figures import (SWEEP_VARS, SweepSetup, figure_csv, payoff_text,
                       sweep_csv)
 from .noise import KINDS
-from .verify import format_report, run_all
 
 #: An unsigned plain float: "5", "5.", ".5", "2.5", "1e-3", "2.5E-1".
 _FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?"
@@ -294,6 +295,7 @@ def cmd_figure(ns) -> int:
 
 
 def cmd_verify(_ns) -> int:
+    from .verify import format_report, run_all
     results = run_all()
     sys.stdout.write(format_report(results))
     return 1 if any(r.failed for r in results) else 0

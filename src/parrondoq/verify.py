@@ -36,6 +36,10 @@ tolerances. Each check plays only the cells it reads:
 rows; ``check_convention_discovery`` finds exactly one cell of both orders
 that fits the anchor rows, ``canonical/all-perqubit``.
 
+The three randomized checks (``channel_routes_agree``,
+``pd_diagonal_invariance``, ``coin_unitarity``) draw their states and angles
+from a seeded stdlib ``random.Random``, so a run never loads ``numpy.random``.
+
 ``run_all`` executes the registry, whose checks share no state, and records
 each check's wall time on its result; the CLI renders one line per check and
 exits nonzero only on hard failures.
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 import time
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -120,18 +125,23 @@ def check_kraus_completeness() -> CheckResult:
     return _result("kraus_completeness", worst, 1e-12)
 
 
-def _random_state(rng, n: int) -> np.ndarray:
-    """A random n-qubit density matrix m m^H / Tr(m m^H), m complex
-    Gaussian."""
+def _random_state(rng: random.Random, n: int) -> np.ndarray:
+    """A random full-rank n-qubit density matrix m m^H / Tr(m m^H), m complex
+    Gaussian. The entries come from the seeded stdlib generator ``rng``: its
+    bytes give two uniforms per entry in (0, 1], and Box-Muller turns each
+    pair into one complex normal."""
     dim = 2 ** n
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    words = np.frombuffer(rng.randbytes(16 * dim * dim), "<u8")
+    u = ((words >> 11) + 1) * 2.0 ** -53
+    m = (np.sqrt(-2.0 * np.log(u[0::2]))
+         * np.exp(2j * _PI * u[1::2])).reshape(dim, dim)
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
 
 
 def check_channel_routes_agree() -> CheckResult:
     """Per-qubit sequential application equals the enumerated lifted sum."""
-    rng = np.random.default_rng(20240817)
+    rng = random.Random(20240817)
     worst = 0.0
     for n in (1, 2, 3, 4):
         rho, dim = _random_state(rng, n), 2 ** n
@@ -152,7 +162,7 @@ def check_channel_routes_agree() -> CheckResult:
 def check_pd_diagonal_invariance() -> CheckResult:
     """Phase damping never changes populations, only coherences. The Kraus
     pair is diagonal, so the invariance is exact up to a couple of ulps."""
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     worst = 0.0
     for n in (1, 2, 3):
         rho = _random_state(rng, n)
@@ -182,11 +192,11 @@ def check_gamma_alpha_independence() -> CheckResult:
 
 
 def check_coin_unitarity() -> CheckResult:
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     worst = 0.0
     for _ in range(12):
-        theta = float(rng.uniform(-_PI, _PI))
-        gamma, delta = (float(rng.uniform(0, 2 * _PI)) for _ in range(2))
+        theta = rng.uniform(-_PI, _PI)
+        gamma, delta = (rng.uniform(0, 2 * _PI) for _ in range(2))
         a = make_coin_a(CoinParams(theta, gamma, delta))
         worst = max(worst, np.abs(a @ a.conj().T - np.eye(2)).max())
     cfg = _preset_config(1)

@@ -72,6 +72,13 @@ REGISTRY = {
     "figure_determinism": ("pass", 0.5, None),
 }
 
+#: The summary line ``verify`` ends with, counted from ``REGISTRY``'s
+#: statuses; the CLI and report tests read it from here.
+SUMMARY = "verify: {} checks, {} pass, {} classified, {} fail".format(
+    len(REGISTRY), *(sum(status.startswith(kind)
+                         for status, _, _ in REGISTRY.values())
+                     for kind in ("pass", "classified:", "FAIL")))
+
 
 def test_registry_runs_exactly_the_table(registry):
     assert [r.check_id for r in registry] == list(REGISTRY)

@@ -12,6 +12,7 @@ from parrondoq.coins import CoinParams, GameConfig
 from parrondoq.engine import CONVENTION_NAMES, play
 from parrondoq.figures import SweepSetup, payoff_text, rows_to_csv, sweep_rows
 from parrondoq.noise import KINDS, NoiseSpec
+from test_acceptance import SUMMARY
 
 PI = math.pi
 
@@ -707,8 +708,7 @@ def test_every_option_has_help():
 def test_verify_command_exits_zero(capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
-    assert out[-1].startswith("verify: 26 checks")
-    assert out[-1].endswith("0 fail")
+    assert out[-1] == SUMMARY
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

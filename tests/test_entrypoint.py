@@ -28,7 +28,8 @@ from pathlib import Path
 import pytest
 
 import parrondoq
-from parrondoq import cli
+from parrondoq import cli, verify
+from test_acceptance import SUMMARY
 
 #: The config files the rows read, by name.
 CONFIGS = {
@@ -54,7 +55,7 @@ NEST = "(" * 500 + "A" + ")^999999999" * 500
 #: ``good.ini`` and ``$RUNNER_TEMP`` for the working directory.
 STEP = [
     ("verify", ["verify"], 0, None,
-     {-1: "verify: 26 checks, 19 pass, 7 classified, 0 fail"}),
+     {-1: SUMMARY}),
     ("payoff --seq B --canonical --convention all-perqubit --channel pd "
      "--p 0.5 --eps 1/168",
      ["payoff", "--seq", "B", "--canonical", "--convention", "all-perqubit",
@@ -109,6 +110,23 @@ STEP = [
 
 MODULE_ROW = "payoff --seq A --eps 1/168 --channel dp --p 0.25"
 
+#: ``parrondoq --help`` at 80 columns, byte for byte.
+HELP = """\
+usage: parrondoq [-h] {payoff,sweep,figure,verify} ...
+
+History-dependent quantum coin games on entangled registers under decoherence.
+
+positional arguments:
+  {payoff,sweep,figure,verify}
+    payoff              payoff of one game sequence
+    sweep               payoff over a parameter grid
+    figure              render a preset sweep as CSV
+    verify              run the cross-validation registry
+
+options:
+  -h, --help            show this help message and exit
+"""
+
 ROWS = pytest.mark.parametrize(
     "row_id, argv, code, count, lines", STEP, ids=[row[0] for row in STEP])
 
@@ -157,7 +175,7 @@ def test_entry_point_step(row_id, argv, code, count, lines, workdir, capsys,
         got = run([sys.executable, "-m", "parrondoq.cli"], argv)
     else:
         # verify prints the one registry run the other tests read
-        monkeypatch.setattr(cli, "run_all", lambda: registry)
+        monkeypatch.setattr(verify, "run_all", lambda: registry)
         got = (cli.main(argv), *capsys.readouterr())
     check(argv, code, count, lines, *got)
 
@@ -168,3 +186,28 @@ def test_console_script(row_id, argv, code, count, lines, workdir):
     if script is None:
         pytest.skip("no parrondoq console script on PATH")
     check(argv, code, count, lines, *run([script], argv))
+
+
+@pytest.mark.parametrize("code, loaded, absent", [
+    # every command but verify: the CLI loads no verify, no dense route
+    ("import parrondoq.cli", ("parrondoq.figures",),
+     ("parrondoq.verify", "parrondoq.reference", "numpy.random")),
+    # the whole registry draws its random states from the stdlib
+    ("from parrondoq import verify; verify.run_all()",
+     ("parrondoq.verify", "parrondoq.reference"), ("numpy.random",)),
+], ids=["cli", "run_all"])
+def test_fresh_process_loads_only_what_it_runs(code, loaded, absent):
+    # a module counts as loaded by ``code`` only if ``import numpy`` alone
+    # did not load it, since older numpy releases import numpy.random eagerly
+    probe = ("import sys, numpy\nbefore = set(sys.modules)\n"
+             f"{code}\nnew = set(sys.modules) - before\n"
+             f"print(*(name in new for name in {loaded + absent}))")
+    got_code, out, err = run([sys.executable, "-c", probe], [])
+    assert got_code == 0, err
+    assert out.split() == ["True"] * len(loaded) + ["False"] * len(absent)
+
+
+def test_help_bytes_in_a_fresh_process(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([sys.executable, "-m", "parrondoq.cli"], ["--help"]) == (
+        0, HELP, "")

@@ -7,6 +7,7 @@ from parrondoq import cli, engine, figures, oracle, verify
 from parrondoq.coins import calibrate_classical
 from parrondoq.figures import FIGURES, sweep_rows
 from parrondoq.noise import NoiseSpec
+from test_acceptance import SUMMARY
 
 # Each check's id, status and tolerance are pinned by the registry table in
 # test_acceptance.py; the ``registry`` fixture (conftest.py) is the one run
@@ -57,7 +58,7 @@ def test_format_report(registry):
     lines = text.strip().splitlines()
     assert len(lines) == len(registry) + 1
     summary = lines[-1]
-    assert summary == "verify: 26 checks, 19 pass, 7 classified, 0 fail"
+    assert summary == SUMMARY
     for line, r in zip(lines, registry):
         assert line.startswith(r.check_id)
         assert r.status in line
